@@ -6,16 +6,14 @@ identity diagnostics, iteration-count bounds for both sampling schemes, and
 a dual-certificate check for global optimality of the lifted solution.
 """
 
-from .analysis import (BoundInputs, CertificateReport, LemmaOracleSummary,
-                       LemmaViolation, build_certificate_matrix, certify_global,
-                       dual_lower_bound, grad_norm_sq_fast,
+from .analysis import (BoundInputs, CertificateReport, build_certificate_matrix,
+                       certify_global, dual_lower_bound, grad_norm_sq_fast,
                        iteration_bound_importance, iteration_bound_uniform,
-                       lemma_oracles, nuclear_lower_bound, sdp_lift_check)
+                       sdp_lift_check)
 from .bcm import (LogRecord, NumericalError, RunReport, SolverConfig,
                   SolverState, bcm_step, init_state, sample_block, solve)
 from .blockmat import (BlockSparseSym, ParseError, from_block_dict,
-                       nuclear_norm, preprocess, read_bsm, read_matrix_market,
-                       write_bsm)
+                       nuclear_norm, read_bsm, read_matrix_market, write_bsm)
 from .problems import (EdgeListGraph, SyncInstance, align_blocks,
                         generate_maxcut, generate_rotsync, ground_truth_blocks,
                         maxcut_to_Q, read_edgelist, read_instance, sync_to_Q)

@@ -1,21 +1,23 @@
 """Diagnostics for the block-coordinate solver: the fast gradient-norm
 formula, iteration-count bounds for both sampling schemes, lift-level
-feasibility/objective checks, a dual-certificate test for global optimality,
-and Monte Carlo oracles for the random-matrix inequalities the convergence
-analysis relies on.
+feasibility/objective checks, and a dual-certificate test for global
+optimality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blockmat import BlockSparseSym
 from .stiefel import (FactorPoint, compute_gcache, evaluate_cost,
-                      feasibility_residual, random_stiefel, sym_coupling)
+                      feasibility_residual, sym_coupling)
+
+# Certificate matrices up to this dimension get a dense eigenvalue solve;
+# larger ones go to the iterative eigsh.
+DENSE_EIG_CUTOFF = 2000
 
 
 def grad_norm_sq_fast(point: FactorPoint) -> float:
@@ -128,9 +130,9 @@ def build_certificate_matrix(point: FactorPoint, Q: BlockSparseSym) -> np.ndarra
     return S
 
 
-def _smallest_eigenvalue(S: np.ndarray, dense_cutoff: int):
+def _smallest_eigenvalue(S: np.ndarray):
     """Algebraically smallest eigenvalue; returns (value, converged)."""
-    if S.shape[0] <= dense_cutoff:
+    if S.shape[0] <= DENSE_EIG_CUTOFF:
         return float(np.linalg.eigvalsh(S)[0]), True
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -145,11 +147,13 @@ def _smallest_eigenvalue(S: np.ndarray, dense_cutoff: int):
 
 
 def certify_global(point: FactorPoint, Q: BlockSparseSym,
-                   cert_tol: float | None = None, dense_cutoff: int = 2000) -> CertificateReport:
+                   cert_tol: float | None = None) -> CertificateReport:
     """Check global optimality of a (near-)critical point via the dual matrix.
 
-    Builds S = Q - BlockDiag(A_i) from freshly recomputed couplings.  At an
-    exact critical point S Y^T = 0; if additionally S is positive
+    Builds S = Q - BlockDiag(A_i) from freshly recomputed couplings.  Block i
+    of Y S is G_i - Y_i A_i, half the Riemannian gradient block, so the
+    stationarity residual ||S Y^T||_F gives ||grad F||_F^2 = 4 ||S Y^T||_F^2.
+    At an exact critical point S Y^T = 0; if additionally S is positive
     semidefinite, Y is a global minimizer of the rank-restricted problem and
     the lift Y^T Y solves the SDP, so the verdict is certified-global.  A
     stationarity residual above cert_tol * (1 + ||Q||_F) yields
@@ -158,17 +162,9 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
     """
     if cert_tol is None:
         cert_tol = 1e-8 * (1.0 + Q.frobenius_norm())
-    fresh = compute_gcache(point.blocks, Q)
-    gradsq = 0.0
-    S = Q.to_dense()
-    d = Q.d
-    for i, (Y, G) in enumerate(zip(point.blocks, fresh)):
-        A = sym_coupling(Y, G)
-        S[i * d:(i + 1) * d, i * d:(i + 1) * d] -= A
-        gradsq += 4.0 * (float(np.sum(G * G)) - float(np.sum(A * A)))
-    gradsq = max(gradsq, 0.0)
+    S = build_certificate_matrix(point, Q)
     residual = float(np.linalg.norm(S @ point.stacked().T))
-    lam, converged = _smallest_eigenvalue(S, dense_cutoff)
+    lam, converged = _smallest_eigenvalue(S)
     note = None
     if residual > cert_tol * (1.0 + Q.frobenius_norm()):
         verdict = "not-stationary"
@@ -178,92 +174,10 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
         verdict = "first-order-only"
         if not converged:
             note = "eigenvalue solver did not converge; certificate downgraded"
-    return CertificateReport(lam, residual, gradsq, verdict, cert_tol, note)
+    return CertificateReport(lam, residual, 4.0 * residual ** 2, verdict, cert_tol, note)
 
 
-class LemmaViolation(AssertionError):
-    """A random-matrix inequality failed; message embeds the witnesses."""
-
-
-@dataclass
-class LemmaOracleSummary:
-    trials: int
-    seed: int
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def total_checks(self) -> int:
-        return sum(self.checks.values())
-
-
-def _serialize_matrix(name: str, M: np.ndarray) -> str:
-    buf = StringIO()
-    buf.write(f"{name} {M.shape[0]} {M.shape[1]}\n")
-    for row in np.atleast_2d(M):
-        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
-
-
-def lemma_oracles(seed: int, trials: int, slack: float = 1e-9) -> LemmaOracleSummary:
-    """Monte Carlo check of the spectral inequalities the rate analysis rests on.
-
-    Per trial: a random square M for the eigenvalue/singular-value sums
-    (p in {1, 2}) and their pairwise-product variant, plus random G and a
-    random orthonormal-column Y for the compression and norm-gap bounds.
-    Every inequality is asserted with slack * (1 + |RHS|); a violation
-    raises LemmaViolation with the offending matrices serialized row-major.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    counts = {"eig_sv_p1": 0, "eig_sv_p2": 0, "pairwise": 0, "compression": 0, "norm_gap": 0}
-
-    def fail(name, lhs, rhs, **mats):
-        dump = "\n".join(_serialize_matrix(k, v) for k, v in mats.items())
-        raise LemmaViolation(f"{name}: lhs={lhs!r} > rhs={rhs!r} + slack\n{dump}")
-
-    for _ in range(trials):
-        m = int(rng.integers(2, 7))
-        M = rng.standard_normal((m, m))
-        lam = np.abs(np.linalg.eigvals(M))
-        sig = np.linalg.svd(M, compute_uv=False)
-        for p, key in ((1, "eig_sv_p1"), (2, "eig_sv_p2")):
-            lhs, rhs = float(np.sum(lam ** p)), float(np.sum(sig ** p))
-            if lhs > rhs + slack * (1.0 + abs(rhs)):
-                fail(f"sum |lambda|^{p} <= sum sigma^{p}", lhs, rhs, M=M)
-            counts[key] += 1
-        lhs = 0.5 * (float(np.sum(lam)) ** 2 - float(np.sum(lam ** 2)))
-        rhs = 0.5 * (float(np.sum(sig)) ** 2 - float(np.sum(sig ** 2)))
-        if lhs > rhs + slack * (1.0 + abs(rhs)):
-            fail("sum_{i<j} |l_i l_j| <= sum_{i<j} s_i s_j", lhs, rhs, M=M)
-        counts["pairwise"] += 1
-
-        d = int(rng.integers(1, 4))
-        r = int(rng.integers(d, 7))
-        G = rng.standard_normal((r, d))
-        Y = random_stiefel(r, d, rng)
-        sG = np.linalg.svd(G, compute_uv=False)
-        sYG = np.linalg.svd(Y.T @ G, compute_uv=False)
-        if np.any(sYG > sG + slack * (1.0 + np.abs(sG))):
-            fail("sigma_i(Y^T G) <= sigma_i(G)", sYG.tolist(), sG.tolist(), G=G, Y=Y)
-        counts["compression"] += 1
-        A = sym_coupling(Y, G)
-        lhs = float(np.trace(A)) ** 2 - float(np.sum(A * A))
-        rhs = float(sG.sum()) ** 2 - float(np.sum(sG ** 2))
-        if lhs > rhs + slack * (1.0 + abs(rhs)):
-            fail("tr(A)^2 - ||A||_F^2 <= ||G||_*^2 - ||G||_F^2", lhs, rhs, G=G, Y=Y)
-        counts["norm_gap"] += 1
-
-    return LemmaOracleSummary(trials=trials, seed=seed, checks=counts)
-
-
-def nuclear_lower_bound(Q: BlockSparseSym) -> float:
-    """-C2(Q): a valid lower bound on the cost over the product manifold."""
-    return -Q.c2()
-
-
-def dual_lower_bound(point: FactorPoint, Q: BlockSparseSym,
-                     dense_cutoff: int = 2000):
+def dual_lower_bound(point: FactorPoint, Q: BlockSparseSym):
     """Rigorous SDP lower bound from any feasible point.
 
     For every feasible X of the lifted problem, tr(Q X) = tr(S X) + F(Y)
@@ -272,9 +186,9 @@ def dual_lower_bound(point: FactorPoint, Q: BlockSparseSym,
     if the eigenvalue solve fails.
     """
     S = build_certificate_matrix(point, Q)
-    lam, converged = _smallest_eigenvalue(S, dense_cutoff)
+    lam, converged = _smallest_eigenvalue(S)
     if not converged and not np.isfinite(lam):
-        return nuclear_lower_bound(Q), float("nan")
+        return -Q.c2(), float("nan")
     cost = evaluate_cost(point.blocks, Q)
     return cost + Q.d * Q.n * min(lam, 0.0), lam
 
@@ -288,9 +202,5 @@ __all__ = [
     "CertificateReport",
     "build_certificate_matrix",
     "certify_global",
-    "LemmaViolation",
-    "LemmaOracleSummary",
-    "lemma_oracles",
-    "nuclear_lower_bound",
     "dual_lower_bound",
 ]

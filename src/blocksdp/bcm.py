@@ -15,8 +15,7 @@ initialization draws (none when a warm start is supplied).
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,9 @@ from .analysis import (BoundInputs, grad_norm_sq_fast, iteration_bound_importanc
 from .blockmat import BlockSparseSym, nuclear_norm
 from .stiefel import FactorPoint, block_minimize, random_stiefel
 
-SAMPLING_SCHEMES = ("uniform", "importance")
+# The sampling schemes, each with its worst-case iteration bound.
+SAMPLING_SCHEMES = {"uniform": iteration_bound_uniform,
+                    "importance": iteration_bound_importance}
 
 # Relative per-step cost change below which an iteration counts as stalled.
 STALL_RTOL = 1e-14
@@ -84,8 +85,6 @@ class SolverState:
     rng: np.random.Generator
     k: int = 0
     nuclear_cache: np.ndarray | None = None
-    descent_residual: float = 0.0
-    cost_history: deque = field(default_factory=lambda: deque(maxlen=64))
     stall_count: int = 0
 
 
@@ -118,7 +117,6 @@ class RunReport:
     f0: float
     best_grad_norm_sq: float
     best_k: int
-    best_point: FactorPoint | None
     max_cost_drift: float
     wall_ns: int
 
@@ -150,10 +148,13 @@ def init_state(Q: BlockSparseSym, config: SolverConfig,
                 f"warm start is (r={warm_start.r}, d={warm_start.d}, n={warm_start.n}), "
                 f"config expects (r={config.rank}, d={Q.d}, n={Q.n})")
         point = FactorPoint.from_blocks(warm_start.blocks, Q)
-    state = SolverState(point=point, rng=rng)
-    if config.sampling == "importance":
-        state.nuclear_cache = np.array([nuclear_norm(g) for g in point.gcache])
-    return state
+    nuclear = _nuclear_norms(point) if config.sampling == "importance" else None
+    return SolverState(point=point, rng=rng, nuclear_cache=nuclear)
+
+
+def _nuclear_norms(point: FactorPoint) -> np.ndarray:
+    """||G_i||_* for every block: the importance-sampling weights."""
+    return np.array([nuclear_norm(g) for g in point.gcache])
 
 
 def sample_block(state: SolverState, config: SolverConfig) -> int | None:
@@ -187,8 +188,6 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     G = point.gcache[i_k]
     Y_old = point.blocks[i_k]
     if not G.any():
-        state.cost_history.append(point.cost)
-        state.descent_residual = 0.0
         return 0.0, 0.0
     Y_new, achieved = block_minimize(G, current=Y_old)
     nuc = -achieved
@@ -204,8 +203,6 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
         state.nuclear_cache[i_k] = nuc
     point.blocks[i_k] = Y_new
     point.cost += pred
-    state.descent_residual = abs(meas - pred)
-    state.cost_history.append(point.cost)
     if not (np.isfinite(point.cost) and np.isfinite(Y_new).all()):
         raise NumericalError(
             f"non-finite update at block {i_k}: cost={point.cost!r}")
@@ -215,7 +212,7 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
     drift = state.point.refresh(Q)
     if state.nuclear_cache is not None:
-        state.nuclear_cache = np.array([nuclear_norm(g) for g in state.point.gcache])
+        state.nuclear_cache = _nuclear_norms(state.point)
     return drift
 
 
@@ -232,9 +229,7 @@ def default_max_iters(Q: BlockSparseSym, config: SolverConfig, f0: float) -> int
     fstar = -Q.c2()
     b = BoundInputs(d=Q.d, n=Q.n, f0=max(f0, fstar), fstar=fstar, eps=config.grad_tol,
                     c1=Q.c1(), c2=Q.c2())
-    if config.sampling == "uniform":
-        return iteration_bound_uniform(b)
-    return iteration_bound_importance(b)
+    return SAMPLING_SCHEMES[config.sampling](b)
 
 
 def solve(Q: BlockSparseSym, config: SolverConfig,
@@ -308,14 +303,10 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
         final_gradsq = grad_norm_sq_fast(point)
     if final_gradsq < best_gradsq:
         best_gradsq, best_k = final_gradsq, state.k
-        if config.return_best:
-            best_point = None  # final point is the best; report it directly
+        best_point = None  # final point is the best; report it directly
 
-    report_point = point
-    if config.return_best and best_point is not None:
-        report_point = best_point
     return RunReport(
-        point=report_point,
+        point=point if best_point is None else best_point,
         iterations=state.k,
         final_cost=point.cost,
         final_grad_norm_sq=final_gradsq,
@@ -324,7 +315,6 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
         f0=f0,
         best_grad_norm_sq=best_gradsq,
         best_k=best_k,
-        best_point=best_point,
         max_cost_drift=max_drift,
         wall_ns=time.perf_counter_ns() - t0,
     )

@@ -127,38 +127,15 @@ class BlockSparseSym:
         return float(self.column_nuclear_sums().sum())
 
 
-def preprocess(Qraw: np.ndarray, d: int):
-    """Symmetrize a dense dn x dn cost matrix and strip its diagonal blocks.
-
-    Returns (Q, offset) with Q holding the blocks 0.5*(Qraw_[i,j] + Qraw_[j,i]^T)
-    for i < j (exact zeros dropped) and offset = sum_i tr(Qraw_[i,i]), so that
-    tr(Qraw @ X) = tr(Q @ X) + offset for every X with identity diagonal blocks.
-    """
-    Qraw = np.asarray(Qraw, dtype=float)
-    if Qraw.ndim != 2 or Qraw.shape[0] != Qraw.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {Qraw.shape}")
-    if d < 1 or Qraw.shape[0] % d != 0:
-        raise ValueError(f"matrix size {Qraw.shape[0]} is not a multiple of d={d}")
-    if not np.isfinite(Qraw).all():
-        raise ValueError("input matrix has non-finite entries")
-    n = Qraw.shape[0] // d
-    offset = float(np.trace(Qraw))
-    blocks = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            Bij = Qraw[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            Bji = Qraw[j * d:(j + 1) * d, i * d:(i + 1) * d]
-            B = 0.5 * (Bij + Bji.T)
-            if B.any():
-                blocks[(i, j)] = B
-    return BlockSparseSym(d, n, blocks), offset
-
-
 def from_block_dict(d: int, n: int, raw: dict):
     """Build a preprocessed matrix from sparse blocks keyed by (i, j), 0-based.
 
     Keys may appear in either orientation (a missing orientation counts as a
     zero block); diagonal keys contribute only to the returned trace offset.
+    Returns (Q, offset): Q holds 0.5*(raw[i,j] + raw[j,i]^T) for i < j (exact
+    zeros dropped) and offset sums the traces of the diagonal blocks, so that
+    tr(R X) = tr(Q X) + offset for the matrix R assembled from raw and every X
+    with identity diagonal blocks.
     """
     offset = 0.0
     acc = {}
@@ -205,6 +182,8 @@ def read_bsm(path) -> BlockSparseSym:
         d, n, m = int(head[1]), int(head[2]), int(head[3])
     except ValueError:
         raise ParseError(path, 1, f"non-integer header fields in {lines[0].strip()!r}") from None
+    if d < 1 or n < 1:
+        raise ParseError(path, 1, f"header needs d >= 1 and n >= 1, got d={d}, n={n}")
     blocks = {}
     count = 0
     for lineno, line in enumerate(lines[1:], start=2):
@@ -265,6 +244,8 @@ def read_matrix_market(path):
         raise ParseError(path, idx + 1, f"non-integer size line {lines[idx].strip()!r}") from None
     if rows != cols:
         raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected square")
+    if rows < 1:
+        raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected at least 1x1")
     raw = {}
     count = 0
     for lineno, line in enumerate(lines[idx + 1:], start=idx + 2):

@@ -10,9 +10,6 @@ Subcommands:
 All machine-readable output is JSON / JSON-lines / CSV.  Exit codes for
 solve: 0 tolerance reached, 2 iteration cap, 3 stalled, 1 error.  verify
 exits 0 only for a certified-global solution.
-
-The BLOCKSDP_THREADS environment variable sets the worker count for bench
-trials (default 1, sequential).
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -173,7 +169,7 @@ def _resolve_fstar(Q: BlockSparseSym, rank: int, supplied: float | None):
     bound, lam = analysis.dual_lower_bound(report.point, Q)
     if np.isfinite(lam):
         return bound, "dual-bound"
-    return analysis.nuclear_lower_bound(Q), "nuclear-lower-bound"
+    return -Q.c2(), "nuclear-lower-bound"
 
 
 def cmd_bench(args) -> int:
@@ -183,26 +179,13 @@ def cmd_bench(args) -> int:
     fstar, fstar_source = _resolve_fstar(Q, args.rank, args.fstar)
     seed_rng = np.random.default_rng(args.seed)
     trial_seeds = [int(s) for s in seed_rng.integers(0, 2 ** 62, size=args.trials)]
-    jobs = [(scheme, seed) for scheme in ("uniform", "importance") for seed in trial_seeds]
-
-    workers = int(os.environ.get("BLOCKSDP_THREADS", "1"))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda sj: _bench_trial(Q, args.rank, sj[0], sj[1], args.tol, args.max_iters),
-                jobs))
-    else:
-        rows = [_bench_trial(Q, args.rank, s, seed, args.tol, args.max_iters)
-                for s, seed in jobs]
+    rows = [_bench_trial(Q, args.rank, scheme, seed, args.tol, args.max_iters)
+            for scheme in bcm.SAMPLING_SCHEMES for seed in trial_seeds]
 
     for row in rows:
         b = analysis.BoundInputs(d=Q.d, n=Q.n, f0=max(row["f0"], fstar), fstar=fstar,
                                  eps=args.tol, c1=Q.c1(), c2=Q.c2())
-        if row["scheme"] == "uniform":
-            row["k_bound"] = analysis.iteration_bound_uniform(b)
-        else:
-            row["k_bound"] = analysis.iteration_bound_importance(b)
+        row["k_bound"] = bcm.SAMPLING_SCHEMES[row["scheme"]](b)
         row["within_bound"] = (row["iters_to_eps"] is not None
                                and row["iters_to_eps"] <= row["k_bound"])
 
@@ -220,8 +203,7 @@ def cmd_bench(args) -> int:
         "trials_per_scheme": args.trials,
         "fstar": fstar,
         "fstar_source": fstar_source,
-        "k_uniform": analysis.iteration_bound_uniform(b),
-        "k_importance": analysis.iteration_bound_importance(b),
+        **{f"k_{scheme}": bound(b) for scheme, bound in bcm.SAMPLING_SCHEMES.items()},
         "violations": sum(not row["within_bound"] for row in rows),
         "rows": rows if not args.output else str(args.output),
     }
@@ -238,12 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_instance_args(p):
         p.add_argument("--input", required=True, help="instance file")
         p.add_argument("--format", default="auto",
-                       choices=["auto", "bsm", "matrix-market", "edgelist"])
+                       choices=["auto", *problems.INSTANCE_FORMATS])
 
     ps = sub.add_parser("solve", help="run the solver on an instance")
     add_instance_args(ps)
     ps.add_argument("--rank", type=int, required=True, help="factor rank r")
-    ps.add_argument("--sampling", default="uniform", choices=["uniform", "importance"])
+    ps.add_argument("--sampling", default="uniform", choices=list(bcm.SAMPLING_SCHEMES))
     ps.add_argument("--tol", type=float, default=1e-8, help="target squared gradient norm")
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--check-period", type=int, default=None)

@@ -210,6 +210,8 @@ def read_edgelist(path) -> EdgeListGraph:
             seen.add((a, b))
             edges.append((a, b, w))
             n = max(n, b + 1)
+    if not edges:
+        raise ParseError(path, 1, "no edges, expected 'i j w' lines")
     return EdgeListGraph(n, edges)
 
 

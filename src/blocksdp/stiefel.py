@@ -222,6 +222,8 @@ def read_yfactor(path, reproject: bool = True):
         r, d, n = int(head[1]), int(head[2]), int(head[3])
     except ValueError:
         raise ParseError(path, 1, f"non-integer header fields in {lines[0].strip()!r}") from None
+    if not (1 <= d <= r and n >= 1):
+        raise ParseError(path, 1, f"header needs 1 <= d <= r and n >= 1, got r={r}, d={d}, n={n}")
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != r * n:
         raise ParseError(path, len(lines), f"expected {r * n} data rows, found {len(rows)}")
@@ -239,6 +241,9 @@ def read_yfactor(path, reproject: bool = True):
                 raise ParseError(path, lineno, f"non-numeric value in {rows[b * r + k].strip()!r}") from None
         B = np.array(data)
         if reproject and not is_orthonormal(B):
-            B = project_stiefel(B)
+            try:
+                B = project_stiefel(B)
+            except ValueError as exc:
+                raise ParseError(path, 2 + b * r, f"block {b + 1}: {exc}") from None
         blocks.append(B)
     return blocks

@@ -11,13 +11,13 @@ import itertools
 import numpy as np
 import pytest
 from conftest import dense_cost, random_instance, triangle
+from lemma_oracles import lemma_oracles
 
 from blocksdp import (BlockSparseSym, BoundInputs, SolverConfig, align_blocks,
                       certify_global, generate_maxcut, generate_rotsync,
                       grad_norm_sq_fast, ground_truth_blocks,
                       iteration_bound_importance, iteration_bound_uniform,
-                      lemma_oracles, maxcut_to_Q, riemannian_grad_oracle,
-                      solve, sync_to_Q)
+                      maxcut_to_Q, riemannian_grad_oracle, solve, sync_to_Q)
 from blocksdp.analysis import dual_lower_bound
 from blocksdp.bcm import bcm_step, init_state, sample_block
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from conftest import random_instance, random_point, triangle
+from lemma_oracles import lemma_oracles
 
 from blocksdp import (BlockSparseSym, BoundInputs, FactorPoint, SolverConfig,
                       build_certificate_matrix, certify_global, grad_norm_sq_fast,
                       iteration_bound_importance, iteration_bound_uniform,
-                      lemma_oracles, nuclear_norm, random_stiefel,
-                      riemannian_grad_oracle, sdp_lift_check, solve, sym_coupling)
-from blocksdp.analysis import dual_lower_bound, nuclear_lower_bound
+                      nuclear_norm, random_stiefel, riemannian_grad_oracle,
+                      sdp_lift_check, solve, sym_coupling)
+from blocksdp.analysis import dual_lower_bound
 from blocksdp.bcm import bcm_step, init_state, sample_block
 
 
@@ -141,11 +142,22 @@ def test_certificate_rank_one_saddle():
 
 
 def test_certificate_random_point_not_stationary():
+    # grad_norm_sq = 4 ||S Y^T||_F^2 equals the squared oracle gradient norm,
+    # also off the manifold (every block scaled by 1.1, as in a corrupted file)
     rng = np.random.default_rng(6)
-    Q = random_instance(rng, 2, 5)
-    point = random_point(rng, Q, 3)
-    cert = certify_global(point, Q)
-    assert cert.verdict == "not-stationary"
+    cases = []
+    for d in (2, 1, 3):
+        Q = random_instance(rng, d, 5)
+        point = random_point(rng, Q, d + 1)
+        scaled = FactorPoint.from_blocks([1.1 * B for B in point.blocks], Q,
+                                         require_feasible=False)
+        cases += [(Q, point), (Q, scaled)]
+    for Q, point in cases:
+        cert = certify_global(point, Q)
+        assert cert.verdict == "not-stationary"
+        oracle = riemannian_grad_oracle(point, Q)
+        ref = float(np.sum(oracle * oracle))
+        assert abs(cert.grad_norm_sq - ref) <= 1e-12 * ref
 
 
 def test_certificate_matrix_matches_dense_reference():
@@ -173,7 +185,7 @@ def test_dual_lower_bound_is_valid():
     bound, lam = dual_lower_bound(report.point, tri)
     assert bound <= -3.0 + 1e-8
     assert bound >= -3.1  # far tighter than -C2 = -6
-    assert nuclear_lower_bound(tri) == pytest.approx(-6.0)
+    assert -tri.c2() == pytest.approx(-6.0)
     # valid from a non-stationary point too: below every feasible cost
     point = random_point(rng, tri, 2)
     bound, _ = dual_lower_bound(point, tri)

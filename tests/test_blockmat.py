@@ -3,19 +3,26 @@ import pytest
 from conftest import dense_cost, random_instance, triangle
 
 from blocksdp import (BlockSparseSym, ParseError, from_block_dict, nuclear_norm,
-                      preprocess, random_stiefel, read_bsm, read_matrix_market,
-                      write_bsm)
+                      random_stiefel, read_bsm, read_matrix_market, write_bsm)
+
+
+def from_dense(Qraw, d):
+    """Every d x d block of a dense dn x dn matrix through from_block_dict."""
+    n = Qraw.shape[0] // d
+    blocks = {(i, j): Qraw[i * d:(i + 1) * d, j * d:(j + 1) * d]
+              for i in range(n) for j in range(n)}
+    return from_block_dict(d, n, blocks)
 
 
 def test_preprocess_zero_matrix():
-    Q, offset = preprocess(np.zeros((6, 6)), 2)
+    Q, offset = from_dense(np.zeros((6, 6)), 2)
     assert Q.num_blocks == 0
     assert offset == 0.0
     assert Q.n == 3 and Q.d == 2
 
 
 def test_preprocess_scalar_example():
-    Q, offset = preprocess(np.array([[2.0, 3.0], [1.0, 4.0]]), 1)
+    Q, offset = from_dense(np.array([[2.0, 3.0], [1.0, 4.0]]), 1)
     assert Q.block(0, 1) == pytest.approx(2.0)
     assert offset == pytest.approx(6.0)
 
@@ -23,20 +30,16 @@ def test_preprocess_scalar_example():
 def test_preprocess_symmetric_with_identity_diagonal():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     raw = np.block([[np.eye(2), A], [A.T, np.eye(2)]])
-    Q, offset = preprocess(raw, 2)
+    Q, offset = from_dense(raw, 2)
     np.testing.assert_allclose(Q.block(0, 1), A)
     assert offset == pytest.approx(4.0)
 
 
 def test_preprocess_rejects_bad_input():
-    with pytest.raises(ValueError):
-        preprocess(np.zeros((5, 5)), 2)  # size not a multiple of d
-    with pytest.raises(ValueError):
-        preprocess(np.zeros((4, 6)), 2)
     bad = np.zeros((4, 4))
     bad[0, 1] = np.nan
     with pytest.raises(ValueError):
-        preprocess(bad, 2)
+        from_dense(bad, 2)
 
 
 def test_offset_identity_on_feasible_lifts():
@@ -46,7 +49,7 @@ def test_offset_identity_on_feasible_lifts():
         d = int(rng.integers(1, 4))
         n = int(rng.integers(2, 6))
         Qraw = rng.standard_normal((d * n, d * n))
-        Q, offset = preprocess(Qraw, d)
+        Q, offset = from_dense(Qraw, d)
         Y = np.hstack([random_stiefel(d + 1, d, rng) for _ in range(n)])
         X = Y.T @ Y
         lhs = float(np.sum(Qraw * X.T))
@@ -141,6 +144,8 @@ def test_bsm_roundtrip_sparse_and_dense(tmp_path):
     ("BSM 1 2 1\n2 1 1.0\n", 2),
     ("BSM 1 3 2\n1 2 1.0\n1 2 2.0\n", 3),
     ("BSM 1 2 2\n1 2 1.0\n", 2),
+    ("BSM 0 2 0\n", 1),
+    ("BSM 1 0 0\n", 1),
 ])
 def test_bsm_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.bsm"
@@ -186,6 +191,10 @@ def test_matrix_market_duplicate_entry(tmp_path):
         "1 2 1.0\n"
         "1 2 2.0\n")
     with pytest.raises(ParseError, match="duplicate"):
+        read_matrix_market(path)
+
+    path.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+    with pytest.raises(ParseError, match=":2:"):
         read_matrix_market(path)
 
 

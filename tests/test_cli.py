@@ -139,6 +139,15 @@ def test_verify_dimension_mismatch(tmp_path, capsys):
     assert "n=3" in err
 
 
+def test_verify_empty_solution_file(tmp_path, capsys):
+    inst = write_triangle(tmp_path)
+    sol = tmp_path / "empty.yf"
+    sol.write_text("YFACTOR 2 1 0\n")
+    code, _, err = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
+    assert code == 1
+    assert "error:" in err
+
+
 def test_generate_maxcut_deterministic(tmp_path, capsys):
     a = tmp_path / "a.bsm"
     b = tmp_path / "b.bsm"

@@ -169,6 +169,8 @@ def test_edgelist_roundtrip(tmp_path):
     ("1 2 1.0\n2 1 2.0\n", 2, "duplicate"),
     ("1 2 x\n", 1, "non-numeric"),
     ("0 2 1.0\n", 1, ">= 1"),
+    ("", 1, "no edges"),
+    ("# comment only\n\n", 1, "no edges"),
 ])
 def test_edgelist_parse_errors(tmp_path, content, lineno, pattern):
     path = tmp_path / "bad.edges"

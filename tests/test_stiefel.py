@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import dense_cost, random_instance, random_point
 
-from blocksdp import (BlockSparseSym, FactorPoint, StaleCacheError,
+from blocksdp import (BlockSparseSym, FactorPoint, ParseError, StaleCacheError,
                       block_minimize, compute_gcache, evaluate_cost,
                       feasibility_residual, is_orthonormal, nuclear_norm,
                       project_stiefel, random_stiefel, read_yfactor,
@@ -188,6 +188,16 @@ def test_yfactor_parse_errors(tmp_path):
     path.write_text("YFAC 2 1 1\n1.0\n0.0\n")
     with pytest.raises(Exception, match="header"):
         read_yfactor(path)
+    # header needs 1 <= d <= r and n >= 1
+    for head in ("YFACTOR 0 1 3", "YFACTOR 2 1 0", "YFACTOR 1 2 3", "YFACTOR 2 0 1"):
+        path.write_text(head + "\n")
+        with pytest.raises(ParseError, match=":1: header"):
+            read_yfactor(path)
+    # an all-zero block cannot be re-projected; the error names its first line
+    path.write_text("YFACTOR 2 1 2\n1.0\n0.0\n0.0\n0.0\n")
+    with pytest.raises(ParseError, match=":4: block 2"):
+        read_yfactor(path)
+    assert len(read_yfactor(path, reproject=False)) == 2
 
 
 def test_refresh_reports_drift():
