@@ -148,13 +148,9 @@ def init_state(Q: BlockSparseSym, config: SolverConfig,
                 f"warm start is (r={warm_start.r}, d={warm_start.d}, n={warm_start.n}), "
                 f"config expects (r={config.rank}, d={Q.d}, n={Q.n})")
         point = FactorPoint.from_blocks(warm_start.blocks, Q)
-    nuclear = _nuclear_norms(point) if config.sampling == "importance" else None
+    # The importance-sampling weights ||G_i||_*.
+    nuclear = nuclear_norm(point.gcache) if config.sampling == "importance" else None
     return SolverState(point=point, rng=rng, nuclear_cache=nuclear)
-
-
-def _nuclear_norms(point: FactorPoint) -> np.ndarray:
-    """||G_i||_* for every block: the importance-sampling weights."""
-    return np.array([nuclear_norm(g) for g in point.gcache])
 
 
 def sample_block(state: SolverState, config: SolverConfig) -> int | None:
@@ -181,8 +177,8 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
 
     Returns (pred_descent, meas_descent): the descent-identity value
     -2 (||G||_* + <G, Y_old>) applied to the tracked cost, and the directly
-    measured 2 <G, Y_new - Y_old>.  Couplings G_j change only for stored
-    neighbors j of i_k.
+    measured 2 <G, Y_new - Y_old>.  Couplings G_j change only for the
+    neighbors j in block row i_k of Q: G_j += (Y_new - Y_old) Q_[i_k,j].
     """
     point = state.point
     G = point.gcache[i_k]
@@ -194,12 +190,11 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     inner_old = float(np.vdot(G, Y_old))
     pred = -2.0 * (nuc + inner_old)
     meas = 2.0 * (float(np.vdot(G, Y_new)) - inner_old)
-    delta = Y_new - Y_old
-    for j in Q.adjacency[i_k]:
-        point.gcache[j] += delta @ Q.block(i_k, j)
-        if state.nuclear_cache is not None:
-            state.nuclear_cache[j] = nuclear_norm(point.gcache[j])
+    p0, p1 = Q.mat.indptr[i_k], Q.mat.indptr[i_k + 1]
+    nbr = Q.mat.indices[p0:p1]
+    point.gcache[nbr] += (Y_new - Y_old) @ Q.mat.data[p0:p1]
     if state.nuclear_cache is not None:
+        state.nuclear_cache[nbr] = nuclear_norm(point.gcache[nbr])
         state.nuclear_cache[i_k] = nuc
     point.blocks[i_k] = Y_new
     point.cost += pred
@@ -212,16 +207,15 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
     drift = state.point.refresh(Q)
     if state.nuclear_cache is not None:
-        state.nuclear_cache = _nuclear_norms(state.point)
+        state.nuclear_cache = nuclear_norm(state.point.gcache)
     return drift
 
 
 def max_available_descent(point: FactorPoint) -> float:
     """Largest single-block cost decrease available, max_i 2(||G_i||_* + <G_i, Y_i>)."""
-    best = 0.0
-    for Y, G in zip(point.blocks, point.gcache):
-        best = max(best, 2.0 * (nuclear_norm(G) + float(np.vdot(G, Y))))
-    return best
+    G = point.gcache
+    inner = np.sum(G * point.blocks, axis=(1, 2))
+    return float(max(0.0, (2.0 * (nuclear_norm(G) + inner)).max()))
 
 
 def default_max_iters(Q: BlockSparseSym, config: SolverConfig, f0: float) -> int:
@@ -269,8 +263,8 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
                 best_gradsq = gradsq_here
                 best_k = state.k
                 if config.return_best:
-                    best_point = FactorPoint([b.copy() for b in point.blocks],
-                                             [g.copy() for g in point.gcache], point.cost)
+                    best_point = FactorPoint(point.blocks.copy(), point.gcache.copy(),
+                                             point.cost)
             if gradsq_here <= config.grad_tol:
                 reason, final_gradsq = "tolerance", gradsq_here
                 break

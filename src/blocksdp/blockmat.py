@@ -1,10 +1,12 @@
 """Block-sparse symmetric cost matrices.
 
 The cost matrix of the solver is a dn x dn symmetric matrix built from
-d x d blocks with all diagonal blocks equal to zero.  Only the upper
-off-diagonal blocks (i < j) are stored; querying block (j, i) returns the
-transpose of the stored block, so the assembled matrix is symmetric by
-construction.
+d x d blocks with all diagonal blocks equal to zero.  It is stored once, as
+a scipy block-CSR matrix (`BlockSparseSym.mat`, blocksize d x d) holding
+both orientations Q_[i,j] and Q_[j,i] = Q_[i,j]^T of every nonzero block,
+with sorted block-column indices.  Block row i therefore lists the
+neighbours of i and the blocks that couple them, and the matrix is
+symmetric by construction.
 
 Text format (BSM):
 
@@ -18,6 +20,7 @@ order.  Matrix Market coordinate files are accepted for d = 1.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import bsr_matrix
 
 
 class ParseError(ValueError):
@@ -29,20 +32,25 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def nuclear_norm(M) -> float:
-    """Sum of singular values of M (zero for an empty matrix)."""
+def nuclear_norm(M):
+    """Sum of singular values of M (zero for an empty matrix).
+
+    A stack of shape (k, r, d) gives an array of its k nuclear norms.
+    """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False).sum())
+        return np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0
+    s = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    return s if M.ndim > 2 else float(s)
 
 
 class BlockSparseSym:
     """Symmetric dn x dn matrix with zero diagonal blocks, stored blockwise.
 
-    Blocks are keyed by the ordered pair (i, j) with i < j; the (j, i)
-    block is implied as the transpose.  Instances are immutable after
-    construction and safe to share across threads for reads.
+    Built from blocks keyed by the ordered pair (i, j) with i < j; the
+    (j, i) block is the transpose.  Exact-zero blocks are dropped.
+    Instances are immutable after construction and safe to share across
+    threads for reads.
     """
 
     def __init__(self, d: int, n: int, blocks: dict):
@@ -50,7 +58,7 @@ class BlockSparseSym:
             raise ValueError(f"invalid dimensions d={d}, n={n}")
         self.d = int(d)
         self.n = int(n)
-        store = {}
+        keys, upper = [], []
         for (i, j), B in blocks.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"block key ({i},{j}) is not 0 <= i < j < n={n}")
@@ -60,71 +68,64 @@ class BlockSparseSym:
             if not np.isfinite(B).all():
                 raise ValueError(f"block ({i},{j}) has non-finite entries")
             if B.any():
-                store[(i, j)] = B
-        self.blocks = store
-        adjacency = {i: [] for i in range(n)}
-        for (i, j) in store:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        self.adjacency = {i: sorted(v) for i, v in adjacency.items()}
-        self._col_nuclear = None  # lazy, immutable afterwards
+                keys.append((i, j))
+                upper.append(B)
+        ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        upper = np.array(upper).reshape(-1, d, d)
+        rows = np.concatenate([ij[:, 0], ij[:, 1]])
+        cols = np.concatenate([ij[:, 1], ij[:, 0]])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        data = np.concatenate([upper, upper.transpose(0, 2, 1)])[order]
+        self.mat = bsr_matrix((data, cols[order], indptr), shape=(d * n, d * n),
+                              blocksize=(d, d))
+        # Each pair adds its nuclear norm to both of its columns, in input order.
+        self._col_nuclear = np.bincount(ij.ravel(), weights=np.repeat(nuclear_norm(upper), 2),
+                                        minlength=n)
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def has_block(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.blocks
+        return int(self.mat.indptr[-1]) // 2
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Return Q_[i,j]; the stored block, its transpose, or zeros.
+        """Return Q_[i,j], or zeros when the pair is not stored.
 
         Returned arrays may alias internal storage and must not be written.
         """
-        if i == j:
-            return np.zeros((self.d, self.d))
-        if i < j:
-            B = self.blocks.get((i, j))
-            return B if B is not None else np.zeros((self.d, self.d))
-        B = self.blocks.get((j, i))
-        return B.T if B is not None else np.zeros((self.d, self.d))
+        p0, p1 = self.mat.indptr[i], self.mat.indptr[i + 1]
+        p = p0 + int(np.searchsorted(self.mat.indices[p0:p1], j))
+        if p < p1 and self.mat.indices[p] == j:
+            return self.mat.data[p]
+        return np.zeros((self.d, self.d))
+
+    def upper(self):
+        """The stored pairs i < j in row order: index arrays i, j and blocks (m, d, d)."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.mat.indptr))
+        up = self.mat.indices > rows
+        return rows[up], self.mat.indices[up], self.mat.data[up]
 
     def pairs(self):
-        """Iterate over (i, j, block) for the stored pairs, i < j."""
-        for (i, j), B in self.blocks.items():
-            yield i, j, B
+        """Iterate over (i, j, block) for the stored pairs i < j, in row order."""
+        i, j, B = self.upper()
+        return zip(i.tolist(), j.tolist(), B)
 
     def to_dense(self) -> np.ndarray:
-        d = self.d
-        full = np.zeros((d * self.n, d * self.n))
-        for i, j, B in self.pairs():
-            full[i * d:(i + 1) * d, j * d:(j + 1) * d] = B
-            full[j * d:(j + 1) * d, i * d:(i + 1) * d] = B.T
-        return full
+        return self.mat.toarray()
 
     def frobenius_norm(self) -> float:
-        sq = sum(float(np.sum(B * B)) for B in self.blocks.values())
-        return float(np.sqrt(2.0 * sq))
+        return float(np.linalg.norm(self.mat.data))
 
     def column_nuclear_sums(self) -> np.ndarray:
-        """Per-column sums of block nuclear norms, computed once and cached."""
-        if self._col_nuclear is None:
-            sums = np.zeros(self.n)
-            for i, j, B in self.pairs():
-                nn = nuclear_norm(B)
-                sums[i] += nn
-                sums[j] += nn
-            self._col_nuclear = sums
+        """Per-column sums of block nuclear norms, computed at construction."""
         return self._col_nuclear
 
     def c1(self) -> float:
         """max_i of the column sums of off-diagonal block nuclear norms."""
-        sums = self.column_nuclear_sums()
-        return float(sums.max()) if self.n else 0.0
+        return float(self._col_nuclear.max())
 
     def c2(self) -> float:
         """Sum of block nuclear norms over all ordered pairs i != j."""
-        return float(self.column_nuclear_sums().sum())
+        return float(self._col_nuclear.sum())
 
 
 def from_block_dict(d: int, n: int, raw: dict):
@@ -164,7 +165,7 @@ def write_bsm(Q: BlockSparseSym, path) -> None:
     """Write Q in the BSM text format (shortest round-trip float repr)."""
     with open(path, "w") as fh:
         fh.write(f"BSM {Q.d} {Q.n} {Q.num_blocks}\n")
-        for i, j, B in sorted(Q.pairs(), key=lambda t: (t[0], t[1])):
+        for i, j, B in Q.pairs():
             entries = " ".join(repr(float(v)) for v in B.ravel())
             fh.write(f"{i + 1} {j + 1} {entries}\n")
 
@@ -259,6 +260,8 @@ def read_matrix_market(path):
             v = float(parts[2])
         except ValueError:
             raise ParseError(path, lineno, f"non-numeric field in {line.strip()!r}") from None
+        if not np.isfinite(v):
+            raise ParseError(path, lineno, f"non-finite value {parts[2]!r}")
         if not (0 <= i < rows and 0 <= j < rows):
             raise ParseError(path, lineno, f"indices out of range for n={rows}")
         if (i, j) in raw:

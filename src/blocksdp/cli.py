@@ -93,10 +93,10 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     Q, offset, fmt = _load_instance(args.input, args.format)
     blocks = read_yfactor(args.solution, reproject=False)
-    r, d = blocks[0].shape
-    if len(blocks) != Q.n or d != Q.d:
+    n, r, d = blocks.shape
+    if n != Q.n or d != Q.d:
         raise ValueError(
-            f"solution is (r={r}, d={d}, n={len(blocks)}), instance needs (d={Q.d}, n={Q.n})")
+            f"solution is (r={r}, d={d}, n={n}), instance needs (d={Q.d}, n={Q.n})")
     # Diagnostics run on the file contents as-is; no silent re-projection.
     point = FactorPoint.from_blocks(blocks, Q, require_feasible=False)
     objective, resid = analysis.sdp_lift_check(point, Q)
@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
     cert = analysis.certify_global(point, Q, cert_tol=args.cert_tol)
     doc = {
         "instance": _instance_info(args.input, fmt, Q, offset),
-        "solution": {"path": str(args.solution), "r": r, "d": d, "n": len(blocks)},
+        "solution": {"path": str(args.solution), "r": r, "d": d, "n": n},
         "feasibility_residual": resid,
         "cost": objective,
         "grad_norm_sq_fast": fast,

@@ -2,9 +2,11 @@
 projection-based Riemannian gradient.
 
 A variable block is an r x d matrix Y with orthonormal columns (d <= r).
-The full iterate is the row of blocks [Y_1 ... Y_n] together with the
-cached coupling matrices G_i = sum_{j != i} Y_j Q_[j,i] and the cost
-F(Y) = tr(Q Y^T Y) = sum_i <G_i, Y_i>.
+The full iterate is the row of blocks [Y_1 ... Y_n], stored as one
+(n, r, d) array, together with the cached coupling matrices
+G_i = sum_{j != i} Y_j Q_[j,i] in a second (n, r, d) array and the cost
+F(Y) = tr(Q Y^T Y) = sum_i <G_i, Y_i>.  Block row i of the product
+Q [Y_1 ... Y_n]^T is G_i^T, so all couplings come from one sparse product.
 
 Solution text format (YFACTOR):
 
@@ -30,14 +32,15 @@ class StaleCacheError(RuntimeError):
     """Cached G_i disagrees with a from-scratch recomputation."""
 
 
-def feasibility_residual(M: np.ndarray) -> float:
-    """Max-abs entry of M^T M - I."""
+def feasibility_residual(M: np.ndarray):
+    """Max-abs entry of M^T M - I; one value per matrix of a stack (k, r, d)."""
     M = np.asarray(M, dtype=float)
-    d = M.shape[1]
-    return float(np.abs(M.T @ M - np.eye(d)).max())
+    res = np.abs(np.swapaxes(M, -1, -2) @ M - np.eye(M.shape[-1])).max(axis=(-2, -1))
+    return res if M.ndim > 2 else float(res)
 
 
-def is_orthonormal(M: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
+def is_orthonormal(M: np.ndarray, tol: float = FEASIBILITY_TOL):
+    """Whether the feasibility residual is within tol (False for NaN); per matrix of a stack."""
     return feasibility_residual(M) <= tol
 
 
@@ -82,41 +85,44 @@ def block_minimize(G: np.ndarray, current: np.ndarray | None = None):
 
 
 def sym_coupling(Y: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The d x d symmetrized coupling 0.5 * (Y^T G + G^T Y)."""
-    M = Y.T @ G
-    return 0.5 * (M + M.T)
+    """The d x d symmetrized coupling 0.5 * (Y^T G + G^T Y), or a stack of them."""
+    M = np.swapaxes(Y, -1, -2) @ G
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def compute_gcache(blocks, Q: BlockSparseSym):
-    """From-scratch coupling matrices G_i = sum_{j != i} Y_j Q_[j,i]."""
-    r = blocks[0].shape[0]
-    g = [np.zeros((r, Q.d)) for _ in range(Q.n)]
-    for i, j, B in Q.pairs():
-        # stored block is Q_[i,j]; Q_[j,i] = B^T
-        g[j] += blocks[i] @ B
-        g[i] += blocks[j] @ B.T
-    return g
+def _stack(blocks) -> np.ndarray:
+    """The r x dn matrix [Y_1 ... Y_n] of a stack of blocks (n, r, d)."""
+    Y = np.asarray(blocks, dtype=float)
+    n, r, d = Y.shape
+    return Y.transpose(1, 0, 2).reshape(r, n * d)
+
+
+def compute_gcache(blocks, Q: BlockSparseSym) -> np.ndarray:
+    """From-scratch couplings G_i = sum_{j != i} Y_j Q_[j,i], as an (n, r, d) array."""
+    GT = Q.mat @ _stack(blocks).T
+    return np.ascontiguousarray(GT.reshape(Q.n, Q.d, -1).transpose(0, 2, 1))
 
 
 def evaluate_cost(blocks, Q: BlockSparseSym) -> float:
-    """F(Y) = tr(Q Y^T Y), summed directly over stored pairs."""
-    total = 0.0
-    for i, j, B in Q.pairs():
-        total += 2.0 * float(np.sum((blocks[j].T @ blocks[i]) * B.T))
-    return total
+    """F(Y) = tr(Q Y^T Y) = 2 sum_{i<j} <Y_j^T Y_i, Q_[i,j]^T>, summed in pair order."""
+    Y = np.asarray(blocks, dtype=float)
+    i, j, B = Q.upper()
+    terms = np.sum((np.swapaxes(Y[j], 1, 2) @ Y[i]) * np.swapaxes(B, 1, 2), axis=(1, 2))
+    return 2.0 * float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
 
 
 @dataclass
 class FactorPoint:
     """Full iterate: blocks Y_i, cached couplings G_i, and cached cost."""
 
-    blocks: list
-    gcache: list
+    blocks: np.ndarray  # (n, r, d)
+    gcache: np.ndarray  # (n, r, d)
     cost: float
 
     @classmethod
     def from_blocks(cls, blocks, Q: BlockSparseSym, require_feasible: bool = True):
-        blocks = [np.array(B, dtype=float) for B in blocks]
+        """Copy a sequence of r x d blocks into a point with fresh caches."""
+        blocks = [np.asarray(B, dtype=float) for B in blocks]
         if len(blocks) != Q.n:
             raise ValueError(f"{len(blocks)} blocks for an n={Q.n} instance")
         r, d = blocks[0].shape
@@ -127,35 +133,33 @@ class FactorPoint:
         for k, B in enumerate(blocks):
             if B.shape != (r, d):
                 raise ValueError(f"block {k} has shape {B.shape}, expected ({r},{d})")
-            if require_feasible and not is_orthonormal(B):
+        Y = np.array(blocks)
+        if require_feasible:
+            bad = np.flatnonzero(~is_orthonormal(Y))
+            if bad.size:
+                k = int(bad[0])
                 raise ValueError(
-                    f"block {k} violates orthonormality (residual {feasibility_residual(B):.3e})")
-        gcache = compute_gcache(blocks, Q)
-        cost = evaluate_cost(blocks, Q)
-        return cls(blocks, gcache, cost)
-
-    @classmethod
-    def random(cls, Q: BlockSparseSym, r: int, rng: np.random.Generator):
-        return cls.from_blocks([random_stiefel(r, Q.d, rng) for _ in range(Q.n)], Q)
+                    f"block {k} violates orthonormality (residual {feasibility_residual(Y[k]):.3e})")
+        return cls(Y, compute_gcache(Y, Q), evaluate_cost(Y, Q))
 
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def r(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     @property
     def d(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.blocks.shape[2]
 
     def stacked(self) -> np.ndarray:
         """The iterate as a single r x dn matrix [Y_1 ... Y_n]."""
-        return np.hstack(self.blocks)
+        return _stack(self.blocks)
 
     def cost_from_cache(self) -> float:
-        return float(sum(np.vdot(g, y) for g, y in zip(self.gcache, self.blocks)))
+        return float(np.vdot(self.gcache, self.blocks))
 
     def refresh(self, Q: BlockSparseSym) -> float:
         """Recompute gcache and cost from scratch; returns |cost drift|."""
@@ -167,8 +171,12 @@ class FactorPoint:
 
     def gcache_residual(self, Q: BlockSparseSym) -> float:
         """Largest Frobenius gap between cached and recomputed G_i."""
-        fresh = compute_gcache(self.blocks, Q)
-        return max(float(np.linalg.norm(g - f)) for g, f in zip(self.gcache, fresh))
+        return _max_block_norm(self.gcache - compute_gcache(self.blocks, Q))
+
+
+def _max_block_norm(D: np.ndarray) -> float:
+    """Largest Frobenius norm among the blocks of a stack."""
+    return float(np.sqrt(np.sum(D * D, axis=(1, 2))).max())
 
 
 def riemannian_grad_oracle(point: FactorPoint, Q: BlockSparseSym,
@@ -181,38 +189,34 @@ def riemannian_grad_oracle(point: FactorPoint, Q: BlockSparseSym,
     With verify_cache=True, raises StaleCacheError if the point's cached G_i
     drift from the recomputation by more than 1e-8 in Frobenius norm.
     """
-    fresh = compute_gcache(point.blocks, Q)
+    G = compute_gcache(point.blocks, Q)
     if verify_cache:
-        worst = max(float(np.linalg.norm(g - f)) for g, f in zip(point.gcache, fresh))
+        worst = _max_block_norm(point.gcache - G)
         if worst > 1e-8:
             raise StaleCacheError(f"cached couplings off by {worst:.3e} Frobenius")
-    out = np.empty((point.r, point.d * point.n))
-    d = point.d
-    for i, (Y, G) in enumerate(zip(point.blocks, fresh)):
-        out[:, i * d:(i + 1) * d] = 2.0 * (G - Y @ sym_coupling(Y, G))
-    return out
+    Y = point.blocks
+    return _stack(2.0 * (G - Y @ sym_coupling(Y, G)))
 
 
 def write_yfactor(blocks, path) -> None:
     """Write factor blocks in the YFACTOR text format."""
-    blocks = [np.asarray(B, dtype=float) for B in blocks]
-    r, d = blocks[0].shape
+    blocks = np.asarray(blocks, dtype=float)
+    n, r, d = blocks.shape
     with open(path, "w") as fh:
-        fh.write(f"YFACTOR {r} {d} {len(blocks)}\n")
-        for B in blocks:
-            for row in B:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(f"YFACTOR {r} {d} {n}\n")
+        for row in blocks.reshape(n * r, d):
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_yfactor(path, reproject: bool = True):
-    """Read YFACTOR blocks.
+def read_yfactor(path, reproject: bool = True) -> np.ndarray:
+    """Read YFACTOR blocks as an (n, r, d) array.
 
     Blocks whose orthonormality residual exceeds the feasibility tolerance
     are re-projected onto the manifold (text round-trips lose digits); pass
     reproject=False to get the raw file contents.
     """
     with open(path) as fh:
-        lines = [ln for ln in fh.readlines()]
+        lines = fh.readlines()
     if not lines:
         raise ParseError(path, 1, "empty file, expected 'YFACTOR r d n' header")
     head = lines[0].split()
@@ -224,26 +228,25 @@ def read_yfactor(path, reproject: bool = True):
         raise ParseError(path, 1, f"non-integer header fields in {lines[0].strip()!r}") from None
     if not (1 <= d <= r and n >= 1):
         raise ParseError(path, 1, f"header needs 1 <= d <= r and n >= 1, got r={r}, d={d}, n={n}")
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    rows = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(rows) != r * n:
         raise ParseError(path, len(lines), f"expected {r * n} data rows, found {len(rows)}")
-    blocks = []
-    for b in range(n):
-        data = []
-        for k in range(r):
-            lineno = 2 + b * r + k
-            parts = rows[b * r + k].split()
-            if len(parts) != d:
-                raise ParseError(path, lineno, f"expected {d} values per row, got {len(parts)}")
+    Y = np.empty((n * r, d))
+    for k, (lineno, line) in enumerate(rows):
+        parts = line.split()
+        if len(parts) != d:
+            raise ParseError(path, lineno, f"expected {d} values per row, got {len(parts)}")
+        try:
+            Y[k] = [float(v) for v in parts]
+        except ValueError:
+            raise ParseError(path, lineno, f"non-numeric value in {line.strip()!r}") from None
+        if not np.isfinite(Y[k]).all():
+            raise ParseError(path, lineno, f"non-finite value in {line.strip()!r}")
+    Y = Y.reshape(n, r, d)
+    if reproject:
+        for b in np.flatnonzero(~is_orthonormal(Y)):
             try:
-                data.append([float(v) for v in parts])
-            except ValueError:
-                raise ParseError(path, lineno, f"non-numeric value in {rows[b * r + k].strip()!r}") from None
-        B = np.array(data)
-        if reproject and not is_orthonormal(B):
-            try:
-                B = project_stiefel(B)
+                Y[b] = project_stiefel(Y[b])
             except ValueError as exc:
-                raise ParseError(path, 2 + b * r, f"block {b + 1}: {exc}") from None
-        blocks.append(B)
-    return blocks
+                raise ParseError(path, rows[b * r][0], f"block {b + 1}: {exc}") from None
+    return Y

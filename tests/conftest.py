@@ -23,6 +23,11 @@ def random_instance(rng, d, n, density=0.7, scale=1.0):
     return BlockSparseSym(d, n, blocks)
 
 
+def neighbors(Q, i):
+    """Block-column indices stored in block row i of Q."""
+    return list(Q.mat.indices[Q.mat.indptr[i]:Q.mat.indptr[i + 1]])
+
+
 def random_point(rng, Q, r):
     return FactorPoint.from_blocks(
         [random_stiefel(r, Q.d, rng) for _ in range(Q.n)], Q)

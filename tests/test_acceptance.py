@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import dense_cost, random_instance, triangle
+from conftest import dense_cost, neighbors, random_instance, triangle
 from lemma_oracles import lemma_oracles
 
 from blocksdp import (BlockSparseSym, BoundInputs, SolverConfig, align_blocks,
@@ -184,7 +184,7 @@ def test_c07_cache_integrity_10k_steps():
     for _ in range(10_000):
         i = sample_block(state, cfg)
         untouched = {j: state.point.gcache[j].tobytes()
-                     for j in range(Q.n) if j != i and j not in Q.adjacency[i]}
+                     for j in range(Q.n) if j != i and j not in neighbors(Q, i)}
         bcm_step(state, Q, i)
         for j, raw in untouched.items():
             assert state.point.gcache[j].tobytes() == raw

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from conftest import random_instance, random_point, triangle
 from lemma_oracles import lemma_oracles
+from scipy import sparse
 
+from blocksdp import analysis
 from blocksdp import (BlockSparseSym, BoundInputs, FactorPoint, SolverConfig,
-                      build_certificate_matrix, certify_global, grad_norm_sq_fast,
+                      build_certificate_matrix, certify_global, compute_gcache,
+                      evaluate_cost, grad_norm_sq_fast,
                       iteration_bound_importance, iteration_bound_uniform,
                       nuclear_norm, random_stiefel, riemannian_grad_oracle,
                       sdp_lift_check, solve, sym_coupling)
@@ -50,6 +53,32 @@ def test_d1_scalar_reduction():
             float(np.sum(g * g)) - float(np.vdot(y, g)) ** 2
             for y, g in zip(point.blocks, point.gcache))
         assert grad_norm_sq_fast(point) == pytest.approx(scalar_path, rel=1e-12, abs=1e-12)
+
+
+def test_vectorized_sums_match_block_loops():
+    # grad_norm_sq_fast and evaluate_cost keep the summation order of the
+    # per-block loops they replaced (the stall guard works at their roundoff
+    # floor), and for d = 1 the sparse product accumulates every G_i in the
+    # same order as the per-pair loop.
+    rng = np.random.default_rng(11)
+    for d, n in ((1, 12), (2, 9), (3, 7)):
+        Q = random_instance(rng, d, n, density=0.5)
+        point = random_point(rng, Q, d + 2)
+        total = 0.0
+        for Y, G in zip(point.blocks, point.gcache):
+            A = sym_coupling(Y, G)
+            total += float(np.sum(G * G)) - float(np.sum(A * A))
+        assert grad_norm_sq_fast(point) == max(4.0 * total, 0.0)
+        cost = 0.0
+        gcache = np.zeros_like(point.gcache)
+        for i, j, B in Q.pairs():
+            cost += 2.0 * float(np.sum((point.blocks[j].T @ point.blocks[i]) * B.T))
+            gcache[j] += point.blocks[i] @ B
+            gcache[i] += point.blocks[j] @ B.T
+        assert evaluate_cost(point.blocks, Q) == cost
+        if d == 1:
+            np.testing.assert_array_equal(compute_gcache(point.blocks, Q), gcache)
+        np.testing.assert_allclose(compute_gcache(point.blocks, Q), gcache, rtol=0, atol=1e-13)
 
 
 def test_iteration_bound_values():
@@ -135,7 +164,7 @@ def test_certificate_rank_one_saddle():
     assert cert.grad_norm_sq <= 1e-14
     assert cert.verdict == "first-order-only"
     assert cert.lambda_min == pytest.approx(-3.0, abs=1e-12)
-    S = build_certificate_matrix(point, tri)
+    S = build_certificate_matrix(point, tri).toarray()
     ref = tri.to_dense() - 2.0 * np.eye(3)
     np.testing.assert_allclose(S, ref, atol=1e-14)
     np.testing.assert_allclose(np.linalg.eigvalsh(S), [-3.0, -3.0, 0.0], atol=1e-12)
@@ -164,7 +193,7 @@ def test_certificate_matrix_matches_dense_reference():
     rng = np.random.default_rng(7)
     Q = random_instance(rng, 2, 4)
     point = random_point(rng, Q, 3)
-    S = build_certificate_matrix(point, Q)
+    S = build_certificate_matrix(point, Q).toarray()
     np.testing.assert_allclose(S, S.T, atol=1e-13)
     Qd = Q.to_dense()
     Y = point.stacked()
@@ -176,6 +205,38 @@ def test_certificate_matrix_matches_dense_reference():
         A = sym_coupling(point.blocks[i], G)
         ref[i * d:(i + 1) * d, i * d:(i + 1) * d] -= A
     np.testing.assert_allclose(S, ref, atol=1e-12)
+
+
+def test_certificate_matrix_stays_sparse():
+    rng = np.random.default_rng(9)
+    for d, n, density in ((1, 40, 0.1), (2, 30, 0.2), (3, 12, 0.5)):
+        Q = random_instance(rng, d, n, density=density)
+        S = build_certificate_matrix(random_point(rng, Q, d + 1), Q)
+        assert sparse.issparse(S)
+        assert S.nnz <= Q.mat.nnz + n * d * d
+
+
+def test_certificate_eigsh_branch_matches_dense(monkeypatch):
+    # A random d = 2, n = 30 instance at a random point (not-stationary), a
+    # rank-3 saddle (first-order-only) and a rank-6 optimum (certified-global),
+    # certified through both eigenvalue branches.
+    rng = np.random.default_rng(10)
+    Q = random_instance(rng, 2, 30, density=0.2)
+    points = [random_point(rng, Q, 3)]
+    points += [solve(Q, SolverConfig(rank=r, grad_tol=1e-11, seed=3)).point for r in (3, 6)]
+    verdicts = []
+    for point in points:
+        dense = certify_global(point, Q)
+        monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)
+        iterative = certify_global(point, Q)
+        bound, lam = dual_lower_bound(point, Q)
+        monkeypatch.undo()
+        assert abs(iterative.lambda_min - dense.lambda_min) <= 1e-8
+        assert abs(lam - dense.lambda_min) <= 1e-8
+        assert iterative.verdict == dense.verdict
+        assert iterative.note is None
+        verdicts.append(dense.verdict)
+    assert verdicts == ["not-stationary", "first-order-only", "certified-global"]
 
 
 def test_dual_lower_bound_is_valid():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_cost, random_instance, random_point, triangle
+from conftest import dense_cost, neighbors, random_instance, random_point, triangle
 
 from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig,
                       bcm_step, init_state, sample_block, solve)
@@ -118,7 +118,7 @@ def test_untouched_neighbors_bitwise_unchanged():
     for _ in range(200):
         i = sample_block(state, cfg)
         snapshot = {j: state.point.gcache[j].tobytes()
-                    for j in range(Q.n) if j != i and j not in Q.adjacency[i]}
+                    for j in range(Q.n) if j != i and j not in neighbors(Q, i)}
         bcm_step(state, Q, i)
         for j, raw in snapshot.items():
             assert state.point.gcache[j].tobytes() == raw

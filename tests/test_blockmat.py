@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_cost, random_instance, triangle
+from conftest import dense_cost, neighbors, random_instance, triangle
 
 from blocksdp import (BlockSparseSym, ParseError, from_block_dict, nuclear_norm,
                       random_stiefel, read_bsm, read_matrix_market, write_bsm)
@@ -65,7 +65,7 @@ def test_block_query_is_transpose_symmetric():
         np.testing.assert_array_equal(Q.block(i, j), B)
     dense = Q.to_dense()
     np.testing.assert_array_equal(dense, dense.T)
-    assert not Q.has_block(0, 0)
+    assert 0 not in neighbors(Q, 0)
     assert np.all(Q.block(2, 2) == 0.0)
 
 
@@ -85,7 +85,7 @@ def test_zero_blocks_dropped_by_symmetrization():
     raw = {(0, 1): A, (1, 0): -A.T}  # symmetric part cancels exactly
     Q, offset = from_block_dict(2, 2, raw)
     assert Q.num_blocks == 0
-    assert Q.adjacency[0] == []
+    assert neighbors(Q, 0) == []
 
 
 def test_c1_c2_examples():
@@ -195,6 +195,18 @@ def test_matrix_market_duplicate_entry(tmp_path):
 
     path.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
     with pytest.raises(ParseError, match=":2:"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_matrix_market_non_finite_entry(tmp_path, value):
+    path = tmp_path / "bad.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n"
+        "2 1 1.0\n"
+        f"1 2 {value}\n")
+    with pytest.raises(ParseError, match=":4: non-finite"):
         read_matrix_market(path)
 
 

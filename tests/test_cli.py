@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import triangle
 
-from blocksdp import read_yfactor, write_bsm, write_yfactor
+from blocksdp import BlockSparseSym, read_yfactor, write_bsm, write_yfactor
 from blocksdp.cli import main
 
 
@@ -146,6 +146,21 @@ def test_verify_empty_solution_file(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
     assert code == 1
     assert "error:" in err
+
+
+def test_non_finite_solution_file_is_a_parse_error(tmp_path, capsys):
+    inst = tmp_path / "edge.bsm"
+    write_bsm(BlockSparseSym(1, 2, {(0, 1): np.array([[1.0]])}), inst)
+    sol = tmp_path / "inf.yf"
+    sol.write_text("YFACTOR 1 1 2\ninf\n1.0\n")
+    code, out, err = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and f"{sol}:2:" in err
+    code, out, err = run(capsys, ["solve", "--input", str(inst), "--rank", "1",
+                                  "--warm-start", str(sol)])
+    assert code == 1
+    assert "error:" in err and f"{sol}:2:" in err
 
 
 def test_generate_maxcut_deterministic(tmp_path, capsys):

@@ -198,6 +198,14 @@ def test_yfactor_parse_errors(tmp_path):
     with pytest.raises(ParseError, match=":4: block 2"):
         read_yfactor(path)
     assert len(read_yfactor(path, reproject=False)) == 2
+    # non-finite values are rejected at their line, raw or re-projected;
+    # blank lines do not shift the reported line
+    for text, lineno in (("YFACTOR 1 1 2\ninf\n1.0\n", 2), ("YFACTOR 1 1 2\n1.0\n-inf\n", 3),
+                         ("YFACTOR 1 1 2\nnan\n1.0\n", 2), ("YFACTOR 2 1 1\n\n0.0\n\nnan\n", 5)):
+        path.write_text(text)
+        for reproject in (True, False):
+            with pytest.raises(ParseError, match=f":{lineno}: non-finite"):
+                read_yfactor(path, reproject=reproject)
 
 
 def test_refresh_reports_drift():
