@@ -6,7 +6,7 @@ optimality.
 The certificate matrix S = Q - BlockDiag(A_1, ..., A_n) is assembled
 sparse, in Q's block-CSR layout, so it stores at most nnz(Q) + n d^2
 entries; its smallest eigenvalue comes from a dense solve up to
-DENSE_EIG_CUTOFF rows and from the iterative eigsh on S itself above.
+DENSE_EIG_CUTOFF rows and from eigsh on S itself (fixed start vector) above.
 """
 
 from __future__ import annotations
@@ -66,24 +66,29 @@ class BoundInputs:
             raise ValueError(f"initial cost {self.f0} below lower bound {self.fstar}")
 
 
-def iteration_bound_uniform(b: BoundInputs) -> int:
-    """Iterations sufficient for uniform sampling: ceil(2 d n C1 (F0 - F*) / eps)."""
-    if b.c1 is None:
-        raise ValueError("uniform bound requires c1")
+def _iteration_bound(b: BoundInputs, scheme: str, const: str, scale) -> int:
+    """ceil(2 d scale C (F0 - F*) / eps) with C the bound input named const."""
+    c = getattr(b, const)
+    if c is None:
+        raise ValueError(f"{scheme} bound requires {const}")
     gap = b.f0 - b.fstar
     if gap == 0.0:
         return 0
-    return math.ceil(2.0 * b.d * b.n * b.c1 * gap / b.eps)
+    bound = 2.0 * b.d * scale * c * gap / b.eps
+    if not math.isfinite(bound):
+        raise ValueError(f"{scheme} iteration bound is {bound}; set an explicit cap "
+                         f"(--max-iters, SolverConfig.max_iters)")
+    return math.ceil(bound)
+
+
+def iteration_bound_uniform(b: BoundInputs) -> int:
+    """Iterations sufficient for uniform sampling: ceil(2 d n C1 (F0 - F*) / eps)."""
+    return _iteration_bound(b, "uniform", "c1", b.n)
 
 
 def iteration_bound_importance(b: BoundInputs) -> int:
     """Iterations sufficient for importance sampling: ceil(2 d C2 (F0 - F*) / eps)."""
-    if b.c2 is None:
-        raise ValueError("importance bound requires c2")
-    gap = b.f0 - b.fstar
-    if gap == 0.0:
-        return 0
-    return math.ceil(2.0 * b.d * b.c2 * gap / b.eps)
+    return _iteration_bound(b, "importance", "c2", 1.0)
 
 
 def sdp_lift_check(point: FactorPoint, Q: BlockSparseSym):
@@ -134,8 +139,9 @@ def _smallest_eigenvalue(S: bsr_matrix):
     """Algebraically smallest eigenvalue; returns (value, converged)."""
     if S.shape[0] <= DENSE_EIG_CUTOFF:
         return float(np.linalg.eigvalsh(S.toarray())[0]), True
+    v0 = np.random.default_rng(0).standard_normal(S.shape[0])  # the same value on every call
     try:
-        vals = eigsh(S, k=1, which="SA", return_eigenvectors=False)
+        vals = eigsh(S, k=1, which="SA", v0=v0, return_eigenvectors=False)
         return float(vals[0]), True
     except ArpackNoConvergence as exc:
         vals = exc.eigenvalues

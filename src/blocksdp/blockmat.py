@@ -1,4 +1,4 @@
-"""Block-sparse symmetric cost matrices.
+"""Block-sparse symmetric cost matrices and the rows of the text formats.
 
 The cost matrix of the solver is a dn x dn symmetric matrix built from
 d x d blocks with all diagonal blocks equal to zero.  It is stored once, as
@@ -14,10 +14,14 @@ Text format (BSM):
     i j b11 b12 ... bdd
 
 with m data lines, 1-based indices i < j, and the d x d block in row-major
-order.  Matrix Market coordinate files are accepted for d = 1.
+order.  Matrix Market coordinate files are accepted for d = 1.  Every text
+format is read by `_read_rows` and written by `_write_rows`, with the checks
+on whole arrays; a malformed file raises ParseError naming a faulty line.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 from scipy.sparse import bsr_matrix
@@ -29,7 +33,88 @@ class ParseError(ValueError):
     def __init__(self, path, lineno: int, message: str):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = str(path)
-        self.lineno = lineno
+        self.lineno = int(lineno)
+
+
+def _reject(bad, error) -> None:
+    """Raise error(k) for the first k at which the mask bad is True."""
+    if bad.any():
+        raise error(int(bad.argmax()))
+
+
+def _repeats(a, b):
+    """Mask of the rows k whose pair (a[k], b[k]) occurs on an earlier row."""
+    order = np.lexsort((b, a))  # stable: equal pairs stay in row order
+    a, b = a[order], b[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = (a[1:] == a[:-1]) & (b[1:] == b[:-1])
+    return repeat
+
+
+def _int_array(values):
+    """int64 array, or an array of Python ints when one overflows int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _read_header(path, form: str):
+    """The lines of a file headed by `form` (e.g. 'BSM d n m'), and its header's integers."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ParseError(path, 1, f"empty file, expected '{form}' header")
+    head = lines[0].split()
+    if len(head) != len(form.split()) or head[0] != form.split()[0]:
+        raise ParseError(path, 1, f"bad header {lines[0].strip()!r}, expected '{form}'")
+    try:
+        return lines, [int(v) for v in head[1:]]
+    except ValueError:
+        raise ParseError(path, 1, f"non-integer header fields in {lines[0].strip()!r}") from None
+
+
+def _read_rows(path, lines, first: int, n_int: int, n_float: int, messages, comment=()):
+    """Line numbers, integers (n_int, k) and finite floats (k, n_float), converted as
+    int() and float() would, of the rows of lines[first:] but blank lines and those
+    starting with `comment`.  A wrong field count, a non-number or a non-finite value
+    raises ParseError with messages[0], [1] or [2], formatted with the stripped
+    `line`, its `fields`, their count `got` and (for [2]) its integers `ints`."""
+    split = list(map(str.split, lines[first:]))
+    at = first + 1 + np.flatnonzero([bool(f) and not f[0].startswith(comment) for f in split])
+    fields = [split[k - first - 1] for k in at]
+    width = n_int + n_float
+
+    def error(kind, k):
+        f = fields[k]
+        values = [int(v) for v in f[:n_int]] if kind == 2 else None  # all rows convert by then
+        message = messages[kind].format(line=lines[at[k] - 1].strip(), fields=f, got=len(f), ints=values)
+        return ParseError(path, at[k], message)
+
+    _reject(np.fromiter(map(len, fields), np.intp, len(fields)) != width, partial(error, 0))
+    flat = [v for f in fields for v in f]
+    try:
+        ints = _int_array([list(map(int, flat[c::width])) for c in range(n_int)])
+        floats = np.array([list(map(float, flat[c::width])) for c in range(n_int, width)]).T
+    except ValueError:
+        for k, f in enumerate(fields):  # runs only once a conversion has failed
+            try:
+                [*map(int, f[:n_int]), *map(float, f[n_int:])]
+            except ValueError:
+                raise error(1, k) from None
+    _reject(~np.isfinite(floats).all(axis=1), partial(error, 2))
+    return at, ints, floats
+
+
+def _write_rows(path, header: str, *columns) -> None:
+    """Write header, then the rows of equal-length 2-D arrays: the repr of each
+    .tolist() value (floats in their shortest round-trip form)."""
+    line = " ".join(["%r"] * sum(c.shape[1] for c in columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header)
+        for s in range(0, len(columns[0]), 1 << 14):  # chunks of rows bound the memory
+            rows = np.concatenate([c[s:s + (1 << 14)].astype(object) for c in columns], axis=1)
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def nuclear_norm(M):
@@ -44,6 +129,19 @@ def nuclear_norm(M):
     return s if M.ndim > 2 else float(s)
 
 
+def _stack_blocks(d: int, blocks: dict):
+    """Key arrays i, j and the d x d blocks (k, d, d) of a dict, in dict order."""
+    keys, values = _int_array(list(blocks)).reshape(len(blocks), 2), list(blocks.values())
+    try:  # the d x d sentinel makes a block of any other shape fail here
+        return keys[:, 0], keys[:, 1], np.array([*values, np.zeros((d, d))], dtype=float)[:-1]
+    except ValueError:
+        k = next((k for k, B in enumerate(values) if np.shape(B) != (d, d)), None)
+        if k is None:
+            raise
+    raise ValueError(f"block ({keys[k, 0]},{keys[k, 1]}) has shape {np.shape(values[k])}, "
+                     f"expected ({d},{d})")
+
+
 class BlockSparseSym:
     """Symmetric dn x dn matrix with zero diagonal blocks, stored blockwise.
 
@@ -56,32 +154,24 @@ class BlockSparseSym:
     def __init__(self, d: int, n: int, blocks: dict):
         if d < 1 or n < 1:
             raise ValueError(f"invalid dimensions d={d}, n={n}")
+        i, j, B = _stack_blocks(d, blocks)
         self.d = int(d)
         self.n = int(n)
-        keys, upper = [], []
-        for (i, j), B in blocks.items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"block key ({i},{j}) is not 0 <= i < j < n={n}")
-            B = np.array(B, dtype=float)
-            if B.shape != (d, d):
-                raise ValueError(f"block ({i},{j}) has shape {B.shape}, expected ({d},{d})")
-            if not np.isfinite(B).all():
-                raise ValueError(f"block ({i},{j}) has non-finite entries")
-            if B.any():
-                keys.append((i, j))
-                upper.append(B)
-        ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
-        upper = np.array(upper).reshape(-1, d, d)
-        rows = np.concatenate([ij[:, 0], ij[:, 1]])
-        cols = np.concatenate([ij[:, 1], ij[:, 0]])
+        _reject(~((0 <= i) & (i < j) & (j < n)),
+                lambda k: ValueError(f"block key ({i[k]},{j[k]}) is not 0 <= i < j < n={n}"))
+        _reject(~np.isfinite(B).all(axis=(1, 2)),
+                lambda k: ValueError(f"block ({i[k]},{j[k]}) has non-finite entries"))
+        keep = B.any(axis=(1, 2))
+        i, j, upper = i[keep].astype(np.intp), j[keep].astype(np.intp), B[keep]
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
         order = np.lexsort((cols, rows))
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         data = np.concatenate([upper, upper.transpose(0, 2, 1)])[order]
         self.mat = bsr_matrix((data, cols[order], indptr), shape=(d * n, d * n),
                               blocksize=(d, d))
         # Each pair adds its nuclear norm to both of its columns, in input order.
-        self._col_nuclear = np.bincount(ij.ravel(), weights=np.repeat(nuclear_norm(upper), 2),
-                                        minlength=n)
+        self._col_nuclear = np.bincount(np.stack([i, j], axis=1).ravel(),
+                                        weights=np.repeat(nuclear_norm(upper), 2), minlength=n)
 
     @property
     def num_blocks(self) -> int:
@@ -138,79 +228,46 @@ def from_block_dict(d: int, n: int, raw: dict):
     tr(R X) = tr(Q X) + offset for the matrix R assembled from raw and every X
     with identity diagonal blocks.
     """
-    offset = 0.0
-    acc = {}
-    for (i, j), B in raw.items():
-        B = np.asarray(B, dtype=float)
-        if B.shape != (d, d):
-            raise ValueError(f"block ({i},{j}) has shape {B.shape}, expected ({d},{d})")
-        if not np.isfinite(B).all():
-            raise ValueError(f"block ({i},{j}) has non-finite entries")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"block key ({i},{j}) out of range for n={n}")
-        if i == j:
-            offset += float(np.trace(B))
-            continue
-        key = (min(i, j), max(i, j))
-        half = 0.5 * B if i < j else 0.5 * B.T
-        if key in acc:
-            acc[key] = acc[key] + half
-        else:
-            acc[key] = half
-    blocks = {k: B for k, B in acc.items() if B.any()}
-    return BlockSparseSym(d, n, blocks), offset
+    i, j, B = _stack_blocks(d, raw)
+    # The constructor checks the off-diagonal blocks; diagonal ones only enter the offset.
+    diag = i == j
+    _reject(diag & ~((0 <= i) & (i < n)),
+            lambda k: ValueError(f"block key ({i[k]},{j[k]}) out of range for n={n}"))
+    _reject(diag & ~np.isfinite(B).all(axis=(1, 2)),
+            lambda k: ValueError(f"block ({i[k]},{j[k]}) has non-finite entries"))
+    offset = float(np.cumsum(np.concatenate([[0.0], np.trace(B[diag], axis1=1, axis2=2)]))[-1])
+    a, b, half, flip = np.minimum(i, j)[~diag], np.maximum(i, j)[~diag], 0.5 * B[~diag], (i > j)[~diag]
+    half[flip] = half[flip].transpose(0, 2, 1)
+    order = np.lexsort((b, a))  # stable: a pair's two orientations adjacent, in key order
+    a, b, half = a[order], b[order], half[order]
+    start = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])][:len(a)])
+    sums = np.add.reduceat(half, start) if len(half) else half
+    seen = np.argsort(order[start])  # the pairs in order of first appearance
+    return BlockSparseSym(d, n, dict(zip(zip(a[start][seen].tolist(), b[start][seen].tolist()),
+                                         sums[seen]))), offset
 
 
 def write_bsm(Q: BlockSparseSym, path) -> None:
     """Write Q in the BSM text format (shortest round-trip float repr)."""
-    with open(path, "w") as fh:
-        fh.write(f"BSM {Q.d} {Q.n} {Q.num_blocks}\n")
-        for i, j, B in Q.pairs():
-            entries = " ".join(repr(float(v)) for v in B.ravel())
-            fh.write(f"{i + 1} {j + 1} {entries}\n")
+    i, j, B = Q.upper()
+    _write_rows(path, f"BSM {Q.d} {Q.n} {Q.num_blocks}\n", np.stack([i, j], axis=1) + 1,
+                B.reshape(len(B), Q.d * Q.d))
 
 
 def read_bsm(path) -> BlockSparseSym:
     """Read a BSM text file; raises ParseError with the offending line number."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected 'BSM d n m' header")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "BSM":
-        raise ParseError(path, 1, f"bad header {lines[0].strip()!r}, expected 'BSM d n m'")
-    try:
-        d, n, m = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError(path, 1, f"non-integer header fields in {lines[0].strip()!r}") from None
+    lines, (d, n, m) = _read_header(path, "BSM d n m")
     if d < 1 or n < 1:
         raise ParseError(path, 1, f"header needs d >= 1 and n >= 1, got d={d}, n={n}")
-    blocks = {}
-    count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2 + d * d:
-            raise ParseError(path, lineno, f"expected 2 indices + {d * d} block entries, got {len(parts)} fields")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-        except ValueError:
-            raise ParseError(path, lineno, f"non-numeric field in {line.strip()!r}") from None
-        if not (1 <= i < j <= n):
-            raise ParseError(path, lineno, f"indices ({i},{j}) violate 1 <= i < j <= n={n}")
-        key = (i - 1, j - 1)
-        if key in blocks:
-            raise ParseError(path, lineno, f"duplicate block ({i},{j})")
-        B = np.array(vals).reshape(d, d)
-        if not np.isfinite(B).all():
-            raise ParseError(path, lineno, f"non-finite entries in block ({i},{j})")
-        blocks[key] = B
-        count += 1
-    if count != m:
-        raise ParseError(path, len(lines), f"header declares {m} blocks, file has {count}")
-    return BlockSparseSym(d, n, blocks)
+    at, (i, j), X = _read_rows(path, lines, 1, 2, d * d, (
+        f"expected 2 indices + {d * d} block entries, got {{got}} fields",
+        "non-numeric field in {line!r}", "non-finite entries in block ({ints[0]},{ints[1]})"))
+    _reject(~((1 <= i) & (i < j) & (j <= n)), lambda k: ParseError(
+        path, at[k], f"indices ({i[k]},{j[k]}) violate 1 <= i < j <= n={n}"))
+    _reject(_repeats(i, j), lambda k: ParseError(path, at[k], f"duplicate block ({i[k]},{j[k]})"))
+    if len(i) != m:
+        raise ParseError(path, len(lines), f"header declares {m} blocks, file has {len(i)}")
+    return BlockSparseSym(d, n, dict(zip(zip((i - 1).tolist(), (j - 1).tolist()), X.reshape(-1, d, d))))
 
 
 def read_matrix_market(path):
@@ -247,29 +304,19 @@ def read_matrix_market(path):
         raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected square")
     if rows < 1:
         raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected at least 1x1")
-    raw = {}
-    count = 0
-    for lineno, line in enumerate(lines[idx + 1:], start=idx + 2):
-        if not line.strip() or line.lstrip().startswith("%"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, lineno, f"expected 'i j value', got {line.strip()!r}")
-        try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            v = float(parts[2])
-        except ValueError:
-            raise ParseError(path, lineno, f"non-numeric field in {line.strip()!r}") from None
-        if not np.isfinite(v):
-            raise ParseError(path, lineno, f"non-finite value {parts[2]!r}")
-        if not (0 <= i < rows and 0 <= j < rows):
-            raise ParseError(path, lineno, f"indices out of range for n={rows}")
-        if (i, j) in raw:
-            raise ParseError(path, lineno, f"duplicate entry ({i + 1},{j + 1})")
-        raw[(i, j)] = np.array([[v]])
-        if symmetry == "symmetric" and i != j:
-            raw[(j, i)] = np.array([[v]])
-        count += 1
-    if count != nnz:
-        raise ParseError(path, len(lines), f"size line declares {nnz} entries, file has {count}")
-    return from_block_dict(1, rows, raw)
+    at, (i, j), X = _read_rows(path, lines, idx + 1, 2, 1, (
+        "expected 'i j value', got {line!r}", "non-numeric field in {line!r}",
+        "non-finite value {fields[2]!r}"), comment="%")
+    i, j = i - 1, j - 1
+    _reject(~((0 <= i) & (i < rows) & (0 <= j) & (j < rows)),
+            lambda k: ParseError(path, at[k], f"indices out of range for n={rows}"))
+    # A symmetric file holds each entry once, in either orientation.
+    symmetric = symmetry == "symmetric"
+    _reject(_repeats(*((np.minimum(i, j), np.maximum(i, j)) if symmetric else (i, j))),
+            lambda k: ParseError(path, at[k], f"duplicate entry ({i[k] + 1},{j[k] + 1})"))
+    if len(i) != nnz:
+        raise ParseError(path, len(lines), f"size line declares {nnz} entries, file has {len(i)}")
+    if symmetric:
+        off = i != j
+        i, j, X = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[X, X[off]]
+    return from_block_dict(1, rows, dict(zip(zip(i.tolist(), j.tolist()), X.reshape(-1, 1, 1))))

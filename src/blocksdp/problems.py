@@ -5,7 +5,7 @@ instances built from weighted edge lists (Q_ij = w_ij, so the cut value of a
 sign vector x is W/2 - F(x)/4 with W the total edge weight), and rotation
 synchronization for d in {2, 3} with known ground truth, where each edge
 contributes -tr(R_ij Y_j^T Y_i) to the cost and the noiseless optimum is
--d * |E|.
+-d * |E|.  Edge lists are read and written by blockmat's row helpers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .blockmat import BlockSparseSym, ParseError, read_bsm, read_matrix_market
+from .blockmat import (BlockSparseSym, ParseError, _int_array, _read_rows, _reject, _repeats,
+                       _write_rows, read_bsm, read_matrix_market)
 
 INSTANCE_FORMATS = ("bsm", "matrix-market", "edgelist")
 
@@ -29,15 +30,13 @@ class EdgeListGraph:
     edges: list  # (i, j, w)
 
     def __post_init__(self):
-        seen = set()
-        for i, j, w in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i},{j}) violates 0 <= i < j < n={self.n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            if not np.isfinite(w):
-                raise ValueError(f"edge ({i},{j}) has non-finite weight {w!r}")
-            seen.add((i, j))
+        i, j, w = zip(*self.edges) if self.edges else ((), (), ())
+        i, j = _int_array(i), _int_array(j)
+        _reject(~((0 <= i) & (i < j) & (j < self.n)), lambda k: ValueError(
+            f"edge ({i[k]},{j[k]}) violates 0 <= i < j < n={self.n}"))
+        _reject(_repeats(i, j), lambda k: ValueError(f"duplicate edge ({i[k]},{j[k]})"))
+        _reject(~np.isfinite(np.array(w, dtype=float)), lambda k: ValueError(
+            f"edge ({i[k]},{j[k]}) has non-finite weight {w[k]!r}"))
 
     @property
     def total_weight(self) -> float:
@@ -182,43 +181,26 @@ def align_blocks(estimate, truth):
 
 
 def read_edgelist(path) -> EdgeListGraph:
-    """Parse 'i j w' lines (1-based indices); n is the largest index seen."""
-    edges = []
-    seen = set()
-    n = 0
+    """Parse 'i j w' lines (1-based; '#' lines skipped); n is the largest index seen."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(path, lineno, f"expected 'i j w', got {line.strip()!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(path, lineno, f"non-numeric field in {line.strip()!r}") from None
-            if i == j:
-                raise ParseError(path, lineno, f"self-loop on vertex {i}")
-            if i < 1 or j < 1:
-                raise ParseError(path, lineno, f"indices must be >= 1, got ({i},{j})")
-            if not np.isfinite(w):
-                raise ParseError(path, lineno, f"non-finite weight {parts[2]!r}")
-            a, b = min(i, j) - 1, max(i, j) - 1
-            if (a, b) in seen:
-                raise ParseError(path, lineno, f"duplicate edge ({min(i, j)},{max(i, j)})")
-            seen.add((a, b))
-            edges.append((a, b, w))
-            n = max(n, b + 1)
-    if not edges:
+        lines = fh.readlines()
+    at, (i, j), w = _read_rows(path, lines, 0, 2, 1, (
+        "expected 'i j w', got {line!r}", "non-numeric field in {line!r}",
+        "non-finite weight {fields[2]!r}"), comment="#")
+    _reject(i == j, lambda k: ParseError(path, at[k], f"self-loop on vertex {i[k]}"))
+    _reject((i < 1) | (j < 1),
+            lambda k: ParseError(path, at[k], f"indices must be >= 1, got ({i[k]},{j[k]})"))
+    a, b = np.minimum(i, j), np.maximum(i, j)
+    _reject(_repeats(a, b), lambda k: ParseError(path, at[k], f"duplicate edge ({a[k]},{b[k]})"))
+    if not len(a):
         raise ParseError(path, 1, "no edges, expected 'i j w' lines")
-    return EdgeListGraph(n, edges)
+    return EdgeListGraph(int(b.max()), list(zip((a - 1).tolist(), (b - 1).tolist(), w[:, 0].tolist())))
 
 
 def write_edgelist(g: EdgeListGraph, path) -> None:
-    with open(path, "w") as fh:
-        for i, j, w in g.edges:
-            fh.write(f"{i + 1} {j + 1} {w!r}\n")
+    """Write 'i j w' lines, 1-based, weights as floats (shortest round-trip repr)."""
+    i, j, w = zip(*g.edges) if g.edges else ((), (), ())
+    _write_rows(path, "", _int_array([i, j]).T + 1, np.array(w, dtype=float)[:, None])
 
 
 def read_instance(path, fmt: str):

@@ -13,7 +13,7 @@ Solution text format (YFACTOR):
     YFACTOR r d n
 
 followed by n sections of r lines with d whitespace-separated values each
-(block Y_i in row-major order).
+(block Y_i in row-major order), read and written by blockmat's row helpers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockSparseSym, ParseError
+from .blockmat import BlockSparseSym, ParseError, _read_header, _read_rows, _write_rows
 
 # Max-abs tolerance on Y^T Y - I for a block to count as feasible.
 FEASIBILITY_TOL = 1e-10
@@ -199,13 +199,10 @@ def riemannian_grad_oracle(point: FactorPoint, Q: BlockSparseSym,
 
 
 def write_yfactor(blocks, path) -> None:
-    """Write factor blocks in the YFACTOR text format."""
+    """Write factor blocks in the YFACTOR text format (shortest round-trip float repr)."""
     blocks = np.asarray(blocks, dtype=float)
     n, r, d = blocks.shape
-    with open(path, "w") as fh:
-        fh.write(f"YFACTOR {r} {d} {n}\n")
-        for row in blocks.reshape(n * r, d):
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    _write_rows(path, f"YFACTOR {r} {d} {n}\n", blocks.reshape(n * r, d))
 
 
 def read_yfactor(path, reproject: bool = True) -> np.ndarray:
@@ -215,38 +212,19 @@ def read_yfactor(path, reproject: bool = True) -> np.ndarray:
     are re-projected onto the manifold (text round-trips lose digits); pass
     reproject=False to get the raw file contents.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected 'YFACTOR r d n' header")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "YFACTOR":
-        raise ParseError(path, 1, f"bad header {lines[0].strip()!r}, expected 'YFACTOR r d n'")
-    try:
-        r, d, n = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError(path, 1, f"non-integer header fields in {lines[0].strip()!r}") from None
+    lines, (r, d, n) = _read_header(path, "YFACTOR r d n")
     if not (1 <= d <= r and n >= 1):
         raise ParseError(path, 1, f"header needs 1 <= d <= r and n >= 1, got r={r}, d={d}, n={n}")
-    rows = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(rows) != r * n:
-        raise ParseError(path, len(lines), f"expected {r * n} data rows, found {len(rows)}")
-    Y = np.empty((n * r, d))
-    for k, (lineno, line) in enumerate(rows):
-        parts = line.split()
-        if len(parts) != d:
-            raise ParseError(path, lineno, f"expected {d} values per row, got {len(parts)}")
-        try:
-            Y[k] = [float(v) for v in parts]
-        except ValueError:
-            raise ParseError(path, lineno, f"non-numeric value in {line.strip()!r}") from None
-        if not np.isfinite(Y[k]).all():
-            raise ParseError(path, lineno, f"non-finite value in {line.strip()!r}")
+    at, _, Y = _read_rows(path, lines, 1, 0, d, (
+        f"expected {d} values per row, got {{got}}", "non-numeric value in {line!r}",
+        "non-finite value in {line!r}"))
+    if len(Y) != r * n:
+        raise ParseError(path, len(lines), f"expected {r * n} data rows, found {len(Y)}")
     Y = Y.reshape(n, r, d)
     if reproject:
         for b in np.flatnonzero(~is_orthonormal(Y)):
             try:
                 Y[b] = project_stiefel(Y[b])
             except ValueError as exc:
-                raise ParseError(path, rows[b * r][0], f"block {b + 1}: {exc}") from None
+                raise ParseError(path, at[b * r], f"block {b + 1}: {exc}") from None
     return Y

@@ -117,6 +117,17 @@ def test_bound_validation():
         iteration_bound_importance(b)
 
 
+@pytest.mark.parametrize("inputs", [
+    {"f0": 2e308, "c1": 2e308, "c2": 2e308, "eps": 1e-4},  # F0 - F* and C overflow
+    {"f0": 1.0, "c1": 1.0, "c2": 1.0, "eps": 1e-320},      # subnormal target
+])
+def test_overflowing_iteration_bound_is_a_value_error(inputs):
+    b = BoundInputs(d=1, n=3, fstar=-inputs["c2"], **inputs)
+    for bound in (iteration_bound_uniform, iteration_bound_importance):
+        with pytest.raises(ValueError, match="--max-iters"):
+            bound(b)
+
+
 def test_sdp_lift_check_values():
     rng = np.random.default_rng(3)
     Q0 = BlockSparseSym(2, 3, {})
@@ -237,6 +248,16 @@ def test_certificate_eigsh_branch_matches_dense(monkeypatch):
         assert iterative.note is None
         verdicts.append(dense.verdict)
     assert verdicts == ["not-stationary", "first-order-only", "certified-global"]
+
+
+def test_eigsh_lambda_min_is_reproducible(monkeypatch):
+    rng = np.random.default_rng(10)
+    Q = random_instance(rng, 2, 30, density=0.2)
+    point = random_point(rng, Q, 3)
+    monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)
+    first, second = certify_global(point, Q), certify_global(point, Q)
+    assert first.lambda_min == second.lambda_min
+    assert dual_lower_bound(point, Q)[1] == first.lambda_min
 
 
 def test_dual_lower_bound_is_valid():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import dense_cost, neighbors, random_instance, triangle
@@ -138,6 +140,23 @@ def test_bsm_roundtrip_sparse_and_dense(tmp_path):
             np.testing.assert_array_equal(back.block(i, j), B)
 
 
+DEEP = 1000  # index of the faulty row among 1200 data rows 'k k+1 1.5'
+DEEP_FAULTS = {
+    "non-numeric": lambda row: row.replace("1.5", "x"),
+    "non-finite": lambda row: row.replace("1.5", "inf"),
+    "field-count": lambda row: row + " 2.5",
+    "index-range": lambda row: "1 1202 1.5",
+    "duplicate": lambda row: "1 2 1.5",
+}
+
+
+def deep_fault_rows(kind):
+    """The 1200 rows 'k k+1 1.5' (k = 1..1200) with one fault in row DEEP."""
+    rows = [f"{k} {k + 1} 1.5" for k in range(1, 1201)]
+    rows[DEEP] = DEEP_FAULTS[kind](rows[DEEP])
+    return "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize("content,lineno", [
     ("BSN 1 2 1\n1 2 1.0\n", 1),
     ("BSM 1 2 1\n1 2\n", 2),
@@ -146,6 +165,8 @@ def test_bsm_roundtrip_sparse_and_dense(tmp_path):
     ("BSM 1 2 2\n1 2 1.0\n", 2),
     ("BSM 0 2 0\n", 1),
     ("BSM 1 0 0\n", 1),
+    *(pytest.param("BSM 1 1201 1200\n" + deep_fault_rows(kind), DEEP + 2, id=f"deep-{kind}")
+      for kind in DEEP_FAULTS),
 ])
 def test_bsm_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.bsm"
@@ -153,6 +174,31 @@ def test_bsm_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     with pytest.raises(ParseError) as err:
         read_bsm(path)
     assert f":{lineno}:" in str(err.value)
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("non-numeric", "non-numeric field"),
+    ("non-finite", "non-finite value 'inf'"),
+    ("field-count", "expected 'i j value'"),
+    ("index-range", "indices out of range"),
+    ("duplicate", "duplicate entry (1,2)"),
+], ids=list(DEEP_FAULTS))
+def test_matrix_market_fault_deep_in_file(tmp_path, kind, message):
+    path = tmp_path / "deep.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n1201 1201 1200\n"
+                    + deep_fault_rows(kind))
+    with pytest.raises(ParseError, match=re.escape(f":{DEEP + 3}: {message}")):
+        read_matrix_market(path)
+
+
+def test_write_bsm_golden_text(tmp_path):
+    Q = BlockSparseSym(2, 3, {(1, 2): np.array([[0.1 + 0.2, -0.0], [1e-300, 2.0]]),
+                              (0, 2): -np.eye(2) / 3})
+    path = tmp_path / "q.bsm"
+    write_bsm(Q, path)
+    assert path.read_text() == ("BSM 2 3 2\n"
+                                "1 3 -0.3333333333333333 -0.0 -0.0 -0.3333333333333333\n"
+                                "2 3 0.30000000000000004 -0.0 1e-300 2.0\n")
 
 
 def test_matrix_market_general_and_symmetric(tmp_path):

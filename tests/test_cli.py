@@ -163,6 +163,19 @@ def test_non_finite_solution_file_is_a_parse_error(tmp_path, capsys):
     assert "error:" in err and f"{sol}:2:" in err
 
 
+@pytest.mark.parametrize("content,extra", [
+    ("BSM 1 3 2\n1 2 1e308\n1 3 1e308\n", []),      # C1, C2 and F0 overflow
+    ("BSM 1 3 2\n1 2 1.0\n2 3 1.0\n", ["--tol", "1e-320"]),
+])
+def test_overflowing_iteration_bound_is_an_error(tmp_path, capsys, content, extra):
+    inst = tmp_path / "q.bsm"
+    inst.write_text(content)
+    code, out, err = run(capsys, ["solve", "--input", str(inst), "--rank", "2", *extra])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--max-iters" in err
+
+
 def test_generate_maxcut_deterministic(tmp_path, capsys):
     a = tmp_path / "a.bsm"
     b = tmp_path / "b.bsm"

@@ -132,6 +132,7 @@ def instances(draw, max_d=3, values=finite):
 
 def assert_same_instance(a, b):
     assert (a.d, a.n, a.num_blocks) == (b.d, b.n, b.num_blocks)
+    assert (a.c1(), a.c2()) == (b.c1(), b.c2())
     for (i, j, A), (k, l, B) in zip(a.pairs(), b.pairs()):
         assert (i, j) == (k, l)
         np.testing.assert_array_equal(A, B)

@@ -163,6 +163,14 @@ def test_edgelist_roundtrip(tmp_path):
     assert back.edges == g.edges
 
 
+def deep_edges(fault):
+    """1200 edge lines 'k k+1 1.5' after a comment and a blank line, with
+    fault applied to the edge on line 1001."""
+    rows = ["# deep fault", ""] + [f"{k} {k + 1} 1.5" for k in range(1, 1201)]
+    rows[1000] = fault(rows[1000])
+    return "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize("content,lineno,pattern", [
     ("1 2\n", 1, "expected"),
     ("1 2 1.0\n2 2 1.0\n", 2, "self-loop"),
@@ -171,6 +179,13 @@ def test_edgelist_roundtrip(tmp_path):
     ("0 2 1.0\n", 1, ">= 1"),
     ("", 1, "no edges"),
     ("# comment only\n\n", 1, "no edges"),
+    *(pytest.param(deep_edges(fault), 1001, pattern, id=f"deep-{kind}") for kind, fault, pattern in [
+        ("non-numeric", lambda row: row.replace("1.5", "x"), "non-numeric"),
+        ("non-finite", lambda row: row.replace("1.5", "nan"), "non-finite weight 'nan'"),
+        ("field-count", lambda row: row + " 2.5", "expected 'i j w'"),
+        ("index-range", lambda row: "0 5 1.5", ">= 1"),
+        ("duplicate", lambda row: "2 1 1.5", r"duplicate edge \(1,2\)"),
+    ]),
 ])
 def test_edgelist_parse_errors(tmp_path, content, lineno, pattern):
     path = tmp_path / "bad.edges"
@@ -178,6 +193,15 @@ def test_edgelist_parse_errors(tmp_path, content, lineno, pattern):
     with pytest.raises(ParseError, match=pattern) as err:
         read_edgelist(path)
     assert f":{lineno}:" in str(err.value)
+
+
+def test_write_edgelist_golden_text(tmp_path):
+    # A numpy weight is written as a plain float, so the file reads back.
+    g = EdgeListGraph(4, [(0, 1, 0.1 + 0.2), (1, 3, np.float64(2.0)), (0, 3, 1e-05)])
+    path = tmp_path / "g.edges"
+    write_edgelist(g, path)
+    assert path.read_text() == "1 2 0.30000000000000004\n2 4 2.0\n1 4 1e-05\n"
+    assert read_edgelist(path).edges == [(0, 1, 0.1 + 0.2), (1, 3, 2.0), (0, 3, 1e-05)]
 
 
 def test_read_instance_unknown_format(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import dense_cost, random_instance, random_point
@@ -206,6 +208,27 @@ def test_yfactor_parse_errors(tmp_path):
         for reproject in (True, False):
             with pytest.raises(ParseError, match=f":{lineno}: non-finite"):
                 read_yfactor(path, reproject=reproject)
+
+
+@pytest.mark.parametrize("value,message", [
+    ("x", "non-numeric value in 'x'"),
+    ("nan", "non-finite value in 'nan'"),
+    ("1.0 0.0", "expected 1 values per row, got 2"),
+], ids=["non-numeric", "non-finite", "field-count"])
+def test_yfactor_fault_deep_in_file(tmp_path, value, message):
+    rows = ["1.0"] * 1200
+    rows[1000] = value
+    path = tmp_path / "deep.yf"
+    path.write_text("YFACTOR 1 1 1200\n" + "\n".join(rows) + "\n")
+    for reproject in (True, False):
+        with pytest.raises(ParseError, match=re.escape(f":1002: {message}")):
+            read_yfactor(path, reproject=reproject)
+
+
+def test_write_yfactor_golden_text(tmp_path):
+    path = tmp_path / "sol.yf"
+    write_yfactor(np.array([[[0.1 + 0.2, 1.0], [-0.0, 1e22]]]), path)
+    assert path.read_text() == "YFACTOR 2 2 1\n0.30000000000000004 1.0\n-0.0 1e+22\n"
 
 
 def test_refresh_reports_drift():
