@@ -36,8 +36,8 @@ def grad_norm_sq_fast(point: FactorPoint) -> float:
     """
     G = point.gcache
     A = sym_coupling(point.blocks, G)
-    gsq = np.sum(G * G, axis=(1, 2))
-    value = 4.0 * float(np.cumsum(gsq - np.sum(A * A, axis=(1, 2)))[-1])
+    gsq = (G * G).sum(axis=(1, 2))
+    value = 4.0 * float((gsq - (A * A).sum(axis=(1, 2))).cumsum()[-1])
     if value < 0.0 and value >= -1e-12 * (1.0 + 4.0 * float(gsq.sum())):
         value = 0.0
     return value

@@ -8,12 +8,14 @@ recurrence F_{k+1} = F_k - 2 (||G_i||_* + <G_i, Y_i>) and cross-checked
 against a from-scratch evaluation at every cache refresh.
 
 Randomness comes from numpy's default PCG64 generator seeded with
-SolverConfig.seed; one draw is consumed per sampled index, after the n
-initialization draws (none when a warm start is supplied).
+SolverConfig.seed: one batched draw of the n starting blocks (none when a
+warm start is supplied), then one draw per sampled index.  An importance
+draw searches the sums of chunks of about sqrt(n) weights, then one chunk.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,7 +24,7 @@ import numpy as np
 from .analysis import (BoundInputs, grad_norm_sq_fast, iteration_bound_importance,
                        iteration_bound_uniform)
 from .blockmat import BlockSparseSym, nuclear_norm
-from .stiefel import FactorPoint, block_minimize, random_stiefel
+from .stiefel import FactorPoint, block_minimize, project_stiefel
 
 # The sampling schemes, each with its worst-case iteration bound.
 SAMPLING_SCHEMES = {"uniform": iteration_bound_uniform,
@@ -140,7 +142,7 @@ def init_state(Q: BlockSparseSym, config: SolverConfig,
     config.validate(Q)
     rng = np.random.default_rng(config.seed)
     if warm_start is None:
-        blocks = [random_stiefel(config.rank, Q.d, rng) for _ in range(Q.n)]
+        blocks = project_stiefel(rng.standard_normal((Q.n, config.rank, Q.d)))
         point = FactorPoint.from_blocks(blocks, Q)
     else:
         if warm_start.n != Q.n or warm_start.d != Q.d or warm_start.r != config.rank:
@@ -156,20 +158,36 @@ def init_state(Q: BlockSparseSym, config: SolverConfig,
 def sample_block(state: SolverState, config: SolverConfig) -> int | None:
     """Draw the next block index under the configured distribution.
 
-    Importance sampling with all-zero couplings returns None: every G_i
-    vanishing means the Riemannian gradient is zero, so the caller should
-    terminate with the tolerance reason.
+    An importance draw inverts the CDF of the weights nuclear_cache in two
+    levels: a chunk of about sqrt(n) blocks by the prefix sums of the chunk
+    sums, then a block by that chunk's prefix sums.  It never returns a
+    block of zero weight.  With all-zero couplings it returns None: every
+    G_i vanishing means the Riemannian gradient is zero, so the caller
+    should terminate with the tolerance reason.
     """
     n = state.point.n
     if config.sampling == "uniform":
         return int(state.rng.integers(n))
     weights = state.nuclear_cache
-    cum = np.cumsum(weights)
+    size = math.isqrt(n)
+    cum = np.add.reduceat(weights, np.arange(0, n, size)).cumsum()
     total = cum[-1]
     if total <= 0.0:
         return None
     u = state.rng.random() * total
-    return min(int(np.searchsorted(cum, u, side="right")), n - 1)
+    c = _first_above(cum, u)
+    start = c * size
+    return start + _first_above(weights[start:start + size].cumsum(),
+                                u - cum[c - 1] if c else u)
+
+
+def _first_above(cum, u) -> int:
+    """Inverse CDF on the prefix sums cum of nonnegative weights: the first k
+    with cum[k] > u or, when u is not below cum[-1] (a chunk's sum and its
+    prefix sums round differently), the first k with cum[k] == cum[-1].
+    Both are entries of positive weight."""
+    k = int(cum.searchsorted(u, side="right"))
+    return k if k < len(cum) else int(cum.searchsorted(cum[-1]))
 
 
 def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
@@ -198,7 +216,7 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
         state.nuclear_cache[i_k] = nuc
     point.blocks[i_k] = Y_new
     point.cost += pred
-    if not (np.isfinite(point.cost) and np.isfinite(Y_new).all()):
+    if not (math.isfinite(point.cost) and np.isfinite(Y_new).all()):
         raise NumericalError(
             f"non-finite update at block {i_k}: cost={point.cost!r}")
     return pred, meas

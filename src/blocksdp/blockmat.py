@@ -6,7 +6,9 @@ a scipy block-CSR matrix (`BlockSparseSym.mat`, blocksize d x d) holding
 both orientations Q_[i,j] and Q_[j,i] = Q_[i,j]^T of every nonzero block,
 with sorted block-column indices.  Block row i therefore lists the
 neighbours of i and the blocks that couple them, and the matrix is
-symmetric by construction.
+symmetric by construction.  Block nuclear norms (`nuclear_norm`, which
+gives C1 and C2 and the importance weights) come from batched SVDs, and in
+closed form, as column norms, for d = 1.
 
 Text format (BSM):
 
@@ -117,15 +119,34 @@ def _write_rows(path, header: str, *columns) -> None:
             fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
+# Sums of squares in [_SQ_MIN, _SQ_MAX] give a column norm to rounding:
+# below, squared entries may have underflowed; above, overflowed.
+_SQ_MIN = np.finfo(float).tiny / np.finfo(float).eps
+_SQ_MAX = np.finfo(float).max
+
+
 def nuclear_norm(M):
     """Sum of singular values of M (zero for an empty matrix).
 
-    A stack of shape (k, r, d) gives an array of its k nuclear norms.
+    A stack of shape (k, r, d) gives an array of its k nuclear norms.  A
+    single column (d = 1) has one singular value, its Euclidean norm
+    sqrt(sum g^2); the SVD serves d > 1 and the columns whose sum of squares
+    leaves [_SQ_MIN, _SQ_MAX].
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0
-    s = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    if M.shape[-1] == 1:
+        C = M.reshape(-1, M.shape[-2])
+        with np.errstate(over="ignore"):  # such columns take the SVD below
+            sq = (C * C).sum(axis=1)
+        s = np.sqrt(sq)
+        if not (_SQ_MIN <= sq.min() and sq.max() <= _SQ_MAX):
+            far = ~((_SQ_MIN <= sq) & (sq <= _SQ_MAX))
+            s[far] = np.linalg.svd(C[far, :, None], compute_uv=False)[:, 0]
+        s = s.reshape(M.shape[:-2])
+    else:
+        s = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
     return s if M.ndim > 2 else float(s)
 
 

@@ -190,6 +190,9 @@ def read_edgelist(path) -> EdgeListGraph:
     _reject(i == j, lambda k: ParseError(path, at[k], f"self-loop on vertex {i[k]}"))
     _reject((i < 1) | (j < 1),
             lambda k: ParseError(path, at[k], f"indices must be >= 1, got ({i[k]},{j[k]})"))
+    top = np.iinfo(np.int64).max
+    _reject((i > top) | (j > top),
+            lambda k: ParseError(path, at[k], f"indices must fit in int64, got ({i[k]},{j[k]})"))
     a, b = np.minimum(i, j), np.maximum(i, j)
     _reject(_repeats(a, b), lambda k: ParseError(path, at[k], f"duplicate edge ({a[k]},{b[k]})"))
     if not len(a):

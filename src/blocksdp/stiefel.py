@@ -45,17 +45,21 @@ def is_orthonormal(M: np.ndarray, tol: float = FEASIBILITY_TOL):
 
 
 def project_stiefel(M: np.ndarray) -> np.ndarray:
-    """Closest matrix with orthonormal columns, U V^T from the thin SVD.
+    """Closest matrix with orthonormal columns, U V^T from the thin SVD; for a
+    stack (k, r, d), that of each matrix, from one batched SVD.
 
     Raises ValueError for rank-deficient input (the projection is then not
-    unique), naming the number of deficient columns.
+    unique), naming the number of deficient columns and, in a stack, the
+    first deficient matrix.
     """
     M = np.asarray(M, dtype=float)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    deficient = int(np.sum(s <= 1e-12 * max(1.0, s[0] if s.size else 0.0)))
-    if deficient:
-        raise ValueError(
-            f"cannot project rank-deficient matrix: {deficient} of {M.shape[1]} columns deficient")
+    deficient = (s <= 1e-12 * np.maximum(1.0, s[..., :1])).sum(axis=-1)
+    if deficient.any():
+        k = int(np.flatnonzero(deficient)[0])
+        which = f" {k}" if M.ndim > 2 else ""
+        raise ValueError(f"cannot project rank-deficient matrix{which}: "
+                         f"{deficient.flat[k]} of {M.shape[-1]} columns deficient")
     return U @ Vt
 
 
@@ -86,8 +90,8 @@ def block_minimize(G: np.ndarray, current: np.ndarray | None = None):
 
 def sym_coupling(Y: np.ndarray, G: np.ndarray) -> np.ndarray:
     """The d x d symmetrized coupling 0.5 * (Y^T G + G^T Y), or a stack of them."""
-    M = np.swapaxes(Y, -1, -2) @ G
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    M = Y.swapaxes(-1, -2) @ G
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _stack(blocks) -> np.ndarray:

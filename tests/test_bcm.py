@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from conftest import dense_cost, neighbors, random_instance, random_point, triangle
@@ -5,6 +8,8 @@ from conftest import dense_cost, neighbors, random_instance, random_point, trian
 from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig,
                       bcm_step, init_state, sample_block, solve)
 from blocksdp.bcm import max_available_descent
+from blocksdp.problems import generate_maxcut, generate_rotsync, maxcut_to_Q, sync_to_Q
+from blocksdp.stiefel import random_stiefel
 
 
 def make_state(Q, rank, seed, sampling="uniform"):
@@ -238,3 +243,105 @@ def test_stall_exit_only_when_no_block_can_descend():
     assert report.termination == "stalled"
     assert max_available_descent(report.point) <= 1e-14 * (1 + abs(report.final_cost))
     assert report.final_cost == pytest.approx(-3.0, abs=1e-9)
+
+
+def cumsum_draw(weights, rng):
+    """Reference importance draw: inverse CDF on the O(n) prefix sums of all weights."""
+    cum = np.cumsum(weights)
+    total = cum[-1]
+    if total <= 0.0:
+        return None
+    u = rng.random() * total
+    return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
+
+
+def importance_state(n, weights, seed):
+    cfg = SolverConfig(rank=1, sampling="importance", seed=0)
+    state = init_state(BlockSparseSym(1, n, {}), cfg)
+    state.nuclear_cache = np.asarray(weights, dtype=float)
+    state.rng = np.random.default_rng(seed)
+    return state, cfg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 70, 71, 5000])
+def test_importance_draw_matches_cumsum_reference(n):
+    g = np.random.default_rng(n)
+    sparse = g.random(n) * (g.random(n) < 0.6)  # zeros among the weights
+    sparse[0] = 1.0
+    wide = g.exponential(size=n) * 10.0 ** g.integers(-12, 12, size=n) * (g.random(n) < 0.5)
+    wide[-1] = 1e-12
+    single = np.zeros(n)  # all weight on one block
+    single[g.integers(n)] = 2.5
+    size = math.isqrt(n)
+    last = np.zeros(n)  # weight only in the last chunk, short unless size divides n
+    last[(n - 1) // size * size:] = g.random(n - (n - 1) // size * size) + 0.5
+    cases = [sparse, wide, single, last]
+    for seed, weights in enumerate(cases):
+        state, cfg = importance_state(n, weights, seed)
+        ref = np.random.default_rng(seed)
+        for _ in range(3000):
+            k = sample_block(state, cfg)
+            assert k == cumsum_draw(weights, ref)
+            assert weights[k] > 0.0
+    state, cfg = importance_state(n, np.zeros(n), 0)
+    assert sample_block(state, cfg) is None
+
+
+class TopDraw:
+    """Generator stub whose uniform draw is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def test_importance_draw_at_the_chunk_edge_skips_zero_weights():
+    # The chunk sum (pairwise) exceeds the chunk's last prefix sum
+    # (sequential): a draw just below the chunk sum passes every prefix sum,
+    # and must land on the chunk's last positive weight, not a zero after it.
+    n = 400
+    weights = np.zeros(n)
+    weights[:math.isqrt(n) - 1] = 1e-16
+    weights[0] = 1.0
+    state, cfg = importance_state(n, weights, 0)
+    state.rng = TopDraw()
+    assert sample_block(state, cfg) == 0
+
+
+def per_block_start(Q, rank, seed):
+    """Reference start: one projected Gaussian block at a time from the seeded stream."""
+    rng = np.random.default_rng(seed)
+    return np.array([random_stiefel(rank, Q.d, rng) for _ in range(Q.n)]), rng
+
+
+@pytest.mark.parametrize("d,rank,n", [(1, 1, 3), (1, 8, 500), (2, 2, 9), (3, 5, 70)])
+def test_start_equals_per_block_loop(d, rank, n):
+    Q = BlockSparseSym(d, n, {})
+    for seed in (0, 1, 2):
+        blocks, rng = per_block_start(Q, rank, seed)
+        state = init_state(Q, SolverConfig(rank=rank, seed=seed))
+        assert state.point.blocks.tobytes() == blocks.tobytes()
+        assert state.rng.random() == rng.random()  # the stream continues in step
+
+
+# Replay fingerprints recorded with the O(n) cumsum draw, SVD nuclear norms
+# and the per-block start: (SHA-256 prefix of the sampled indices,
+# iterations, repr(final_cost)).
+REPLAY = {
+    ("maxcut", "uniform"): ("2ac012ca24a2a0c4", 2460, "-118.2259122651146"),
+    ("maxcut", "importance"): ("c1d348633193647f", 2220, "-118.22591226345249"),
+    ("rotsync", "uniform"): ("b2c33e2cae5e2131", 725, "-238.17600271992612"),
+    ("rotsync", "importance"): ("4c9895ef7fa70190", 850, "-238.1760027187031"),
+}
+
+
+@pytest.mark.parametrize("problem,sampling", sorted(REPLAY))
+def test_replay_matches_recorded_trajectory(problem, sampling):
+    if problem == "maxcut":
+        Q, rank, tol = maxcut_to_Q(generate_maxcut(30, 0.3, seed=7)), 3, 1e-6
+    else:
+        Q, rank, tol = sync_to_Q(generate_rotsync(25, 3, 0.3, 0.2, seed=7)), 5, 1e-8
+    report = solve(Q, SolverConfig(rank=rank, sampling=sampling, grad_tol=tol, seed=3))
+    blocks = np.array([rec.block for rec in report.records], dtype=np.int64)
+    digest = hashlib.sha256(blocks.tobytes()).hexdigest()[:16]
+    assert report.termination == "tolerance"
+    assert (digest, report.iterations, repr(report.final_cost)) == REPLAY[problem, sampling]

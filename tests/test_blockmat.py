@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,39 @@ def test_nuclear_norm_values():
     assert nuclear_norm(np.diag([3.0, 4.0])) == pytest.approx(7.0)
     # single column: the only singular value is the Euclidean norm
     assert nuclear_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
+
+
+def test_nuclear_norm_single_column_closed_form():
+    rng = np.random.default_rng(5)
+    for r in (1, 2, 8, 30):
+        # magnitudes from 1e-200 to 1e200: squares underflow or overflow at the ends
+        M = rng.standard_normal((300, r, 1)) * 10.0 ** rng.integers(-200, 201, size=(300, 1, 1))
+        M[::7] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nuclear_norm(M)
+        np.testing.assert_allclose(got, np.linalg.svd(M, compute_uv=False)[:, 0], rtol=1e-15, atol=0)
+    one = nuclear_norm(np.array([[3.0], [4.0]]))
+    assert type(one) is float and one == 5.0
+    assert nuclear_norm(np.zeros((0, 4, 1))).shape == (0,)
+    np.testing.assert_array_equal(nuclear_norm(np.zeros((3, 4, 1))), np.zeros(3))
+    assert nuclear_norm(np.zeros((4, 1))) == 0.0
+
+
+def test_d1_column_sums_equal_svd_sums():
+    # c1 and c2 of Max-Cut instances are bit-identical to summing SVD norms.
+    rng = np.random.default_rng(6)
+    upper_i, upper_j = np.triu_indices(500, 1)
+    for weights in (np.ones(2500), rng.uniform(0.0, 1.0, 2500),
+                    rng.standard_normal(2500) * 10.0 ** rng.integers(-200, 201, 2500)):
+        pick = rng.choice(len(upper_i), size=2500, replace=False)
+        i, j = upper_i[pick], upper_j[pick]
+        Q = BlockSparseSym(1, 500, {(a, b): np.array([[w]])
+                                    for a, b, w in zip(i.tolist(), j.tolist(), weights)})
+        svd = np.linalg.svd(weights[:, None, None], compute_uv=False)[:, 0]
+        ref = np.bincount(np.stack([i, j], axis=1).ravel(), weights=np.repeat(svd, 2),
+                          minlength=500)
+        assert Q.c1() == float(ref.max()) and Q.c2() == float(ref.sum())
 
 
 def test_nuclear_norm_subadditive_and_transpose_invariant():

@@ -163,6 +163,16 @@ def test_non_finite_solution_file_is_a_parse_error(tmp_path, capsys):
     assert "error:" in err and f"{sol}:2:" in err
 
 
+def test_edgelist_index_beyond_int64_is_a_parse_error(tmp_path, capsys):
+    inst = tmp_path / "huge.edges"
+    inst.write_text("1 2 1.0\n1 99999999999999999999 1.0\n")
+    code, out, err = run(capsys, ["solve", "--input", str(inst), "--format", "edgelist",
+                                  "--rank", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"{inst}:2:" in err
+
+
 @pytest.mark.parametrize("content,extra", [
     ("BSM 1 3 2\n1 2 1e308\n1 3 1e308\n", []),      # C1, C2 and F0 overflow
     ("BSM 1 3 2\n1 2 1.0\n2 3 1.0\n", ["--tol", "1e-320"]),

@@ -177,6 +177,7 @@ def deep_edges(fault):
     ("1 2 1.0\n2 1 2.0\n", 2, "duplicate"),
     ("1 2 x\n", 1, "non-numeric"),
     ("0 2 1.0\n", 1, ">= 1"),
+    ("1 2 1.0\n1 99999999999999999999 1.0\n", 2, "fit in int64"),
     ("", 1, "no edges"),
     ("# comment only\n\n", 1, "no edges"),
     *(pytest.param(deep_edges(fault), 1001, pattern, id=f"deep-{kind}") for kind, fault, pattern in [

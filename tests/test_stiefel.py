@@ -34,6 +34,17 @@ def test_project_rank_deficient_names_columns():
         project_stiefel(M)
 
 
+def test_project_stack_matches_each_matrix_and_names_deficient_member():
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((6, 5, 3))
+    stacked = project_stiefel(M)
+    for k in range(len(M)):
+        assert stacked[k].tobytes() == project_stiefel(M[k]).tobytes()
+    M[4, :, 2] = M[4, :, 0]
+    with pytest.raises(ValueError, match=r"matrix 4: 1 of 3 columns deficient"):
+        project_stiefel(M)
+
+
 def test_block_minimize_examples():
     Y, achieved = block_minimize(np.array([[3.0], [4.0]]))
     np.testing.assert_allclose(Y, [[-0.6], [-0.8]])
