@@ -1,18 +1,22 @@
 """Diagnostics for the block-coordinate solver: the fast gradient-norm
 formula, iteration-count bounds for both sampling schemes, lift-level
 feasibility/objective checks, and a dual-certificate test for global
-optimality.
+optimality that also yields the dual lower bound on the SDP optimum.
 
 The certificate matrix S = Q - BlockDiag(A_1, ..., A_n) is assembled
 sparse, in Q's block-CSR layout, so it stores at most nnz(Q) + n d^2
 entries; its smallest eigenvalue comes from a dense solve up to
 DENSE_EIG_CUTOFF rows and from eigsh on S itself (fixed start vector) above.
+certify_global is the one place that derives quantities from freshly
+recomputed couplings: the stationarity residual, the gradient norm, the
+smallest eigenvalue and the lower bound all come from one S and one
+eigen-solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import bsr_matrix
@@ -104,24 +108,22 @@ def sdp_lift_check(point: FactorPoint, Q: BlockSparseSym):
 
 @dataclass
 class CertificateReport:
-    """Outcome of the dual-certificate check at a candidate solution."""
+    """Outcome of the dual-certificate check at a candidate solution.
+
+    lower_bound is a rigorous lower bound on the SDP optimum (see
+    certify_global), valid at any point, stationary or not.
+    """
 
     lambda_min: float
     stationarity_residual: float
     grad_norm_sq: float
     verdict: str  # certified-global | first-order-only | not-stationary
     cert_tol: float
+    lower_bound: float
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_min": self.lambda_min,
-            "stationarity_residual": self.stationarity_residual,
-            "grad_norm_sq": self.grad_norm_sq,
-            "verdict": self.verdict,
-            "cert_tol": self.cert_tol,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def build_certificate_matrix(point: FactorPoint, Q: BlockSparseSym) -> bsr_matrix:
@@ -163,6 +165,12 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
     stationarity residual above cert_tol * (1 + ||Q||_F) yields
     not-stationary; a decisively negative eigenvalue yields first-order-only.
     Eigenvalue-solver failures downgrade the verdict, never certify.
+
+    The lower bound: for every feasible X of the lifted problem,
+    tr(Q X) = tr(S X) + F(Y) with tr(S X) >= dn * min(lambda_min(S), 0)
+    since tr(X) = dn; and F(Y) = sum_i tr(A_i) = -tr(S) because Q's
+    diagonal blocks are zero.  It falls back to -C2(Q) when lambda_min is
+    not finite.
     """
     if cert_tol is None:
         cert_tol = 1e-8 * (1.0 + Q.frobenius_norm())
@@ -178,33 +186,10 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
         verdict = "first-order-only"
         if not converged:
             note = "eigenvalue solver did not converge; certificate downgraded"
-    return CertificateReport(lam, residual, 4.0 * residual ** 2, verdict, cert_tol, note)
-
-
-def dual_lower_bound(point: FactorPoint, Q: BlockSparseSym):
-    """Rigorous SDP lower bound from any feasible point.
-
-    For every feasible X of the lifted problem, tr(Q X) = tr(S X) + F(Y)
-    with S = Q - BlockDiag(A_i), and tr(S X) >= dn * min(lambda_min(S), 0)
-    since tr(X) = dn.  Returns (bound, lambda_min); falls back to -C2(Q)
-    if the eigenvalue solve fails.
-    """
-    S = build_certificate_matrix(point, Q)
-    lam, converged = _smallest_eigenvalue(S)
-    if not converged and not np.isfinite(lam):
-        return -Q.c2(), float("nan")
-    cost = evaluate_cost(point.blocks, Q)
-    return cost + Q.d * Q.n * min(lam, 0.0), lam
-
-
-__all__ = [
-    "grad_norm_sq_fast",
-    "BoundInputs",
-    "iteration_bound_uniform",
-    "iteration_bound_importance",
-    "sdp_lift_check",
-    "CertificateReport",
-    "build_certificate_matrix",
-    "certify_global",
-    "dual_lower_bound",
-]
+    if math.isfinite(lam):
+        bound = Q.d * Q.n * min(lam, 0.0) - float(S.diagonal().sum())
+    else:
+        bound = -Q.c2()
+    return CertificateReport(lambda_min=lam, stationarity_residual=residual,
+                             grad_norm_sq=4.0 * residual ** 2, verdict=verdict,
+                             cert_tol=cert_tol, lower_bound=bound, note=note)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,6 +101,7 @@ class LogRecord:
     wall_ns: int
 
     def to_dict(self) -> dict:
+        # A literal: vars(self) would materialize a __dict__ on every kept record.
         return {"k": self.k, "cost": self.cost, "block": self.block,
                 "pred_descent": self.pred_descent, "meas_descent": self.meas_descent,
                 "grad_norm_sq": self.grad_norm_sq, "wall_ns": self.wall_ns}
@@ -123,17 +124,9 @@ class RunReport:
     wall_ns: int
 
     def summary(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_cost": self.final_cost,
-            "final_grad_norm_sq": self.final_grad_norm_sq,
-            "termination": self.termination,
-            "f0": self.f0,
-            "best_grad_norm_sq": self.best_grad_norm_sq,
-            "best_k": self.best_k,
-            "max_cost_drift": self.max_cost_drift,
-            "wall_ns": self.wall_ns,
-        }
+        """Every field but the point and the records, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("point", "records")}
 
 
 def init_state(Q: BlockSparseSym, config: SolverConfig,
@@ -145,10 +138,9 @@ def init_state(Q: BlockSparseSym, config: SolverConfig,
         blocks = project_stiefel(rng.standard_normal((Q.n, config.rank, Q.d)))
         point = FactorPoint.from_blocks(blocks, Q)
     else:
-        if warm_start.n != Q.n or warm_start.d != Q.d or warm_start.r != config.rank:
-            raise ValueError(
-                f"warm start is (r={warm_start.r}, d={warm_start.d}, n={warm_start.n}), "
-                f"config expects (r={config.rank}, d={Q.d}, n={Q.n})")
+        # from_blocks checks n and d against Q; only the rank is the config's.
+        if warm_start.r != config.rank:
+            raise ValueError(f"warm start has rank {warm_start.r}, config expects {config.rank}")
         point = FactorPoint.from_blocks(warm_start.blocks, Q)
     # The importance-sampling weights ||G_i||_*.
     nuclear = nuclear_norm(point.gcache) if config.sampling == "importance" else None

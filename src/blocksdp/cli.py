@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, bcm, problems
 from .blockmat import BlockSparseSym, ParseError, write_bsm
-from .stiefel import FactorPoint, read_yfactor, riemannian_grad_oracle, write_yfactor
+from .stiefel import FactorPoint, read_yfactor, write_yfactor
 
 SOLVE_EXIT = {"tolerance": 0, "max_iters": 2, "stalled": 3}
 
@@ -101,7 +101,6 @@ def cmd_verify(args) -> int:
     point = FactorPoint.from_blocks(blocks, Q, require_feasible=False)
     objective, resid = analysis.sdp_lift_check(point, Q)
     fast = analysis.grad_norm_sq_fast(point)
-    oracle = riemannian_grad_oracle(point, Q)
     cert = analysis.certify_global(point, Q, cert_tol=args.cert_tol)
     doc = {
         "instance": _instance_info(args.input, fmt, Q, offset),
@@ -109,7 +108,6 @@ def cmd_verify(args) -> int:
         "feasibility_residual": resid,
         "cost": objective,
         "grad_norm_sq_fast": fast,
-        "grad_norm_sq_oracle": float(np.sum(oracle * oracle)),
         "certificate": cert.to_dict(),
     }
     print(json.dumps(doc, indent=2))
@@ -153,8 +151,9 @@ def _resolve_fstar(Q: BlockSparseSym, rank: int, supplied: float | None):
 
     Without a supplied value, solves once at full rank to tight tolerance
     and certifies; a certified cost is the SDP optimum, hence a valid lower
-    bound for any rank.  Otherwise the run's dual bound
-    F(Y) + dn * min(lambda_min(S), 0) is used, with -C2(Q) as last resort.
+    bound for any rank.  Otherwise the certificate's dual bound
+    F(Y) + dn * min(lambda_min(S), 0) is used, with -C2(Q) as last resort;
+    the verdict and the bound come from one eigen-solve.
     """
     if supplied is not None:
         return supplied, "supplied"
@@ -166,10 +165,7 @@ def _resolve_fstar(Q: BlockSparseSym, rank: int, supplied: float | None):
     cert = analysis.certify_global(report.point, Q)
     if cert.verdict == "certified-global":
         return report.final_cost, "certified"
-    bound, lam = analysis.dual_lower_bound(report.point, Q)
-    if np.isfinite(lam):
-        return bound, "dual-bound"
-    return -Q.c2(), "nuclear-lower-bound"
+    return cert.lower_bound, "dual-bound" if np.isfinite(cert.lambda_min) else "nuclear-lower-bound"
 
 
 def cmd_bench(args) -> int:
@@ -286,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, ValueError, bcm.NumericalError) as exc:
+    except (OSError, MemoryError, ParseError, ValueError, bcm.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

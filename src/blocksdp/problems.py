@@ -165,21 +165,6 @@ def ground_truth_blocks(inst: SyncInstance):
     return [R.T.copy() for R in inst.ground_truth]
 
 
-def align_blocks(estimate, truth):
-    """Left-align two block lists over the orthogonal gauge group.
-
-    Solves min_R ||R [est] - [truth]||_F over orthogonal R and returns
-    (aligned_blocks, max_i ||R est_i - truth_i||_F).
-    """
-    E = np.hstack(estimate)
-    T = np.hstack(truth)
-    U, _, Vt = np.linalg.svd(T @ E.T)
-    R = U @ Vt
-    aligned = [R @ B for B in estimate]
-    err = max(float(np.linalg.norm(a - t)) for a, t in zip(aligned, truth))
-    return aligned, err
-
-
 def read_edgelist(path) -> EdgeListGraph:
     """Parse 'i j w' lines (1-based; '#' lines skipped); n is the largest index seen."""
     with open(path) as fh:

@@ -10,15 +10,14 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import dense_cost, neighbors, random_instance, triangle
+from conftest import (align_blocks, dense_cost, gcache_residual, neighbors, random_instance,
+                      triangle)
 from lemma_oracles import lemma_oracles
 
-from blocksdp import (BlockSparseSym, BoundInputs, SolverConfig, align_blocks,
-                      certify_global, generate_maxcut, generate_rotsync,
-                      grad_norm_sq_fast, ground_truth_blocks,
+from blocksdp import (BlockSparseSym, BoundInputs, SolverConfig, certify_global,
+                      generate_maxcut, generate_rotsync, grad_norm_sq_fast, ground_truth_blocks,
                       iteration_bound_importance, iteration_bound_uniform,
                       maxcut_to_Q, riemannian_grad_oracle, solve, sync_to_Q)
-from blocksdp.analysis import dual_lower_bound
 from blocksdp.bcm import bcm_step, init_state, sample_block
 
 
@@ -157,7 +156,7 @@ def test_c06_rate_bound_consistency():
     for name, Q, rank in instances:
         polish = solve(Q, SolverConfig(rank=Q.d * Q.n, grad_tol=1e-18, seed=0,
                                        log_every=10 ** 9))
-        fstar, _ = dual_lower_bound(polish.point, Q)
+        fstar = certify_global(polish.point, Q).lower_bound
         for scheme in ("uniform", "importance"):
             for seed in range(50):
                 cfg = SolverConfig(rank=rank, sampling=scheme, grad_tol=eps,
@@ -188,7 +187,7 @@ def test_c07_cache_integrity_10k_steps():
         bcm_step(state, Q, i)
         for j, raw in untouched.items():
             assert state.point.gcache[j].tobytes() == raw
-    drift = state.point.gcache_residual(Q)
+    drift = gcache_residual(state.point, Q)
     assert drift <= 1e-8
     from blocksdp import nuclear_norm
     nuc_drift = max(abs(state.nuclear_cache[i] - nuclear_norm(g))

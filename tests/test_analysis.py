@@ -11,7 +11,6 @@ from blocksdp import (BlockSparseSym, BoundInputs, FactorPoint, SolverConfig,
                       iteration_bound_importance, iteration_bound_uniform,
                       nuclear_norm, random_stiefel, riemannian_grad_oracle,
                       sdp_lift_check, solve, sym_coupling)
-from blocksdp.analysis import dual_lower_bound
 from blocksdp.bcm import bcm_step, init_state, sample_block
 
 
@@ -240,10 +239,12 @@ def test_certificate_eigsh_branch_matches_dense(monkeypatch):
         dense = certify_global(point, Q)
         monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)
         iterative = certify_global(point, Q)
-        bound, lam = dual_lower_bound(point, Q)
         monkeypatch.undo()
         assert abs(iterative.lambda_min - dense.lambda_min) <= 1e-8
-        assert abs(lam - dense.lambda_min) <= 1e-8
+        cost = evaluate_cost(point.blocks, Q)
+        for cert in (dense, iterative):
+            assert (abs(cert.lower_bound - (cost + Q.d * Q.n * min(cert.lambda_min, 0.0)))
+                    <= 1e-9 * (1.0 + abs(cost)))
         assert iterative.verdict == dense.verdict
         assert iterative.note is None
         verdicts.append(dense.verdict)
@@ -257,23 +258,54 @@ def test_eigsh_lambda_min_is_reproducible(monkeypatch):
     monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)
     first, second = certify_global(point, Q), certify_global(point, Q)
     assert first.lambda_min == second.lambda_min
-    assert dual_lower_bound(point, Q)[1] == first.lambda_min
+    assert first.lower_bound == second.lower_bound
 
 
 def test_dual_lower_bound_is_valid():
     rng = np.random.default_rng(8)
     tri = triangle()
     report = solve(tri, SolverConfig(rank=2, grad_tol=1e-18, seed=2))
-    bound, lam = dual_lower_bound(report.point, tri)
+    bound = certify_global(report.point, tri).lower_bound
     assert bound <= -3.0 + 1e-8
     assert bound >= -3.1  # far tighter than -C2 = -6
     assert -tri.c2() == pytest.approx(-6.0)
     # valid from a non-stationary point too: below every feasible cost
     point = random_point(rng, tri, 2)
-    bound, _ = dual_lower_bound(point, tri)
+    bound = certify_global(point, tri).lower_bound
     for _ in range(200):
         probe = random_point(rng, tri, 2)
         assert bound <= probe.cost + 1e-10
+
+
+def test_lower_bound_is_cost_plus_eigenvalue_term():
+    # -tr(S) is F(Y): the bound equals F(Y) + dn min(lambda_min, 0), on and
+    # off the manifold, and lies below every probe cost of the instance
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        for _ in range(5):
+            Q = random_instance(rng, d, int(rng.integers(2, 9)))
+            r = int(rng.integers(d, 6))
+            point = random_point(rng, Q, r)
+            scaled = FactorPoint.from_blocks(1.1 * point.blocks, Q, require_feasible=False)
+            for p in (point, scaled):
+                cert = certify_global(p, Q)
+                cost = evaluate_cost(p.blocks, Q)
+                expected = cost + Q.d * Q.n * min(cert.lambda_min, 0.0)
+                assert abs(cert.lower_bound - expected) <= 1e-9 * (1.0 + abs(cost))
+            bound = certify_global(point, Q).lower_bound
+            for _ in range(20):
+                assert bound <= random_point(rng, Q, r).cost + 1e-10
+
+
+def test_lower_bound_falls_back_to_c2(monkeypatch):
+    rng = np.random.default_rng(13)
+    Q = random_instance(rng, 2, 6)
+    point = random_point(rng, Q, 3)
+    monkeypatch.setattr(analysis, "_smallest_eigenvalue", lambda S: (float("nan"), False))
+    cert = certify_global(point, Q)
+    assert cert.lower_bound == -Q.c2()
+    assert np.isnan(cert.lambda_min)
+    assert cert.verdict != "certified-global"
 
 
 def test_lemma_oracles_clean_run_and_trivial_cases():

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_cost, neighbors, random_instance, random_point, triangle
+from conftest import (dense_cost, gcache_residual, neighbors, random_instance, random_point,
+                      triangle)
 
 from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig,
                       bcm_step, init_state, sample_block, solve)
@@ -112,7 +113,7 @@ def test_incremental_cache_stays_fresh_over_100_steps():
     state = init_state(Q, cfg)
     for _ in range(100):
         bcm_step(state, Q, sample_block(state, cfg))
-    assert state.point.gcache_residual(Q) <= 1e-8
+    assert gcache_residual(state.point, Q) <= 1e-8
 
 
 def test_untouched_neighbors_bitwise_unchanged():

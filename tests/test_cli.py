@@ -1,10 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import triangle
 
-from blocksdp import BlockSparseSym, read_yfactor, write_bsm, write_yfactor
+import blocksdp
+from blocksdp import BlockSparseSym, analysis, read_yfactor, write_bsm, write_yfactor
 from blocksdp.cli import main
 
 
@@ -98,8 +104,11 @@ def test_verify_certified_solution(tmp_path, capsys):
     assert doc["certificate"]["verdict"] == "certified-global"
     assert doc["feasibility_residual"] <= 1e-10
     assert doc["cost"] == pytest.approx(-3.0, abs=1e-8)
-    assert doc["grad_norm_sq_fast"] == pytest.approx(doc["grad_norm_sq_oracle"],
+    assert doc["grad_norm_sq_fast"] == pytest.approx(doc["certificate"]["grad_norm_sq"],
                                                      abs=1e-12)
+    assert "grad_norm_sq_oracle" not in doc
+    assert doc["certificate"]["lower_bound"] <= doc["cost"]
+    assert doc["certificate"]["lower_bound"] == pytest.approx(-3.0, abs=1e-8)
 
 
 def test_verify_corrupted_solution(tmp_path, capsys):
@@ -173,6 +182,25 @@ def test_edgelist_index_beyond_int64_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("error:") and f"{inst}:2:" in err
 
 
+def test_edgelist_index_beyond_memory_is_an_error(tmp_path):
+    # An index that fits in int64 sizes an n-long array; under a 2 GiB
+    # address-space limit the allocation fails at once instead of paging.
+    inst = tmp_path / "big.edges"
+    inst.write_text("1 2 1.0\n1 99999999999 1.0\n")
+    src = str(Path(blocksdp.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 2 * 1024 ** 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "blocksdp.cli", "solve", "--input", str(inst),
+         "--format", "edgelist", "--rank", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("content,extra", [
     ("BSM 1 3 2\n1 2 1e308\n1 3 1e308\n", []),      # C1, C2 and F0 overflow
     ("BSM 1 3 2\n1 2 1.0\n2 3 1.0\n", ["--tol", "1e-320"]),
@@ -232,6 +260,29 @@ def test_bench_triangle(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 2 * 3  # header + schemes x trials
     assert lines[0].startswith("scheme,seed,f0,")
+
+
+def test_bench_solves_one_eigenproblem_per_fstar(tmp_path, capsys, monkeypatch):
+    # The eigenvalue is shifted down by 1, so the full-rank point is not
+    # certified and F* comes from the dual bound of the same eigen-solve.
+    inst = write_triangle(tmp_path)
+    calls = []
+    solve_eig = analysis._smallest_eigenvalue
+
+    def shifted(S):
+        lam, converged = solve_eig(S)
+        calls.append(lam)
+        return lam - 1.0, converged
+
+    monkeypatch.setattr(analysis, "_smallest_eigenvalue", shifted)
+    code, out, _ = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
+                                "--tol", "1e-4", "--trials", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert len(calls) == 1
+    assert doc["fstar_source"] == "dual-bound"
+    # F(Y) + dn * min(lambda_min, 0) at the full-rank optimum -3
+    assert doc["fstar"] == pytest.approx(-3.0 + 3 * min(calls[0] - 1.0, 0.0), abs=1e-6)
 
 
 def test_solve_rerun_reproduces_report(tmp_path, capsys):

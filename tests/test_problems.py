@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import triangle
+from conftest import align_blocks, triangle
 
-from blocksdp import (EdgeListGraph, ParseError, SolverConfig, align_blocks,
+from blocksdp import (EdgeListGraph, ParseError, SolverConfig,
                       certify_global, evaluate_cost, generate_maxcut,
                       generate_rotsync, ground_truth_blocks, maxcut_to_Q,
                       read_edgelist, read_instance, solve, sync_to_Q, write_bsm)

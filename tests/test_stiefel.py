@@ -2,13 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import dense_cost, random_instance, random_point
+from conftest import (StaleCacheError, cost_from_cache, dense_cost, gcache_residual,
+                      random_instance, random_point, verified_grad_oracle)
 
-from blocksdp import (BlockSparseSym, FactorPoint, ParseError, StaleCacheError,
-                      block_minimize, compute_gcache, evaluate_cost,
-                      feasibility_residual, is_orthonormal, nuclear_norm,
-                      project_stiefel, random_stiefel, read_yfactor,
-                      riemannian_grad_oracle, write_yfactor)
+from blocksdp import (BlockSparseSym, FactorPoint, ParseError, block_minimize,
+                      compute_gcache, evaluate_cost, feasibility_residual,
+                      is_orthonormal, nuclear_norm, project_stiefel, random_stiefel,
+                      read_yfactor, riemannian_grad_oracle, write_yfactor)
 
 
 def test_project_identity_and_scalar():
@@ -93,7 +93,7 @@ def test_gcache_and_cost_match_dense():
         for i, G in enumerate(point.gcache):
             np.testing.assert_allclose(G, YQ[:, i * d:(i + 1) * d], atol=1e-12)
         assert point.cost == pytest.approx(dense_cost(Qd, point.blocks), abs=1e-10)
-        assert point.cost == pytest.approx(point.cost_from_cache(), rel=1e-8, abs=1e-10)
+        assert point.cost == pytest.approx(cost_from_cache(point), rel=1e-8, abs=1e-10)
 
 
 def test_oracle_hand_examples():
@@ -157,9 +157,9 @@ def test_stale_cache_detection():
     Q = random_instance(rng, 2, 4)
     point = random_point(rng, Q, 3)
     point.gcache[1] = point.gcache[1] + 1.0
-    riemannian_grad_oracle(point, Q)  # silent without verification
+    riemannian_grad_oracle(point, Q)  # the oracle itself ignores the cache
     with pytest.raises(StaleCacheError):
-        riemannian_grad_oracle(point, Q, verify_cache=True)
+        verified_grad_oracle(point, Q)
 
 
 def test_factorpoint_validation():
@@ -172,6 +172,23 @@ def test_factorpoint_validation():
         FactorPoint.from_blocks(bad, Q)
     point = FactorPoint.from_blocks(bad, Q, require_feasible=False)
     assert feasibility_residual(point.blocks[0]) == pytest.approx(3.0)
+
+    # the (n, r, d) array is checked as a whole
+    Q2 = BlockSparseSym(2, 2, {(0, 1): np.eye(2)})
+    for blocks, instance, message in [
+            (np.eye(2), Q, "must form an \\(n, r, d\\) array"),  # 2-D
+            ([good[0], np.eye(3, 1)], Q, "inhomogeneous"),         # ragged
+            (np.zeros((2, 2, 2)), Q, "block width 2"),             # wrong d
+            (np.ones((2, 1, 2)), Q2, "rank r=1 smaller"),          # r < d
+            (np.stack(good * 2), Q, "4 blocks for an n=2")]:       # wrong n
+        with pytest.raises(ValueError, match=message):
+            FactorPoint.from_blocks(blocks, instance, require_feasible=False)
+
+    # an accepted array is copied
+    Y = np.stack(good)
+    point = FactorPoint.from_blocks(Y, Q)
+    Y[0] = 5.0
+    np.testing.assert_array_equal(point.blocks, np.stack(good))
 
 
 def test_yfactor_roundtrip_and_reprojection(tmp_path):
@@ -249,7 +266,7 @@ def test_refresh_reports_drift():
     point.cost += 1e-3
     drift = point.refresh(Q)
     assert drift == pytest.approx(1e-3, rel=1e-6)
-    assert point.gcache_residual(Q) == 0.0
+    assert gcache_residual(point, Q) == 0.0
 
 
 def test_evaluate_cost_empty_instance():
