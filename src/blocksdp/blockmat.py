@@ -190,9 +190,10 @@ class BlockSparseSym:
         data = np.concatenate([upper, upper.transpose(0, 2, 1)])[order]
         self.mat = bsr_matrix((data, cols[order], indptr), shape=(d * n, d * n),
                               blocksize=(d, d))
-        # Each pair adds its nuclear norm to both of its columns, in input order.
-        self._col_nuclear = np.bincount(np.stack([i, j], axis=1).ravel(),
-                                        weights=np.repeat(nuclear_norm(upper), 2), minlength=n)
+        # Each pair adds its nuclear norm to both of its columns, in input order (inf past range).
+        with np.errstate(over="ignore"):
+            self._col_nuclear = np.bincount(np.stack([i, j], axis=1).ravel(),
+                                            weights=np.repeat(nuclear_norm(upper), 2), minlength=n)
 
     @property
     def num_blocks(self) -> int:
@@ -231,12 +232,13 @@ class BlockSparseSym:
         return self._col_nuclear
 
     def c1(self) -> float:
-        """max_i of the column sums of off-diagonal block nuclear norms."""
+        """max_i of the column sums of off-diagonal block nuclear norms (inf past the range)."""
         return float(self._col_nuclear.max())
 
     def c2(self) -> float:
-        """Sum of block nuclear norms over all ordered pairs i != j."""
-        return float(self._col_nuclear.sum())
+        """Sum of block nuclear norms over all ordered pairs i != j (inf past the range)."""
+        with np.errstate(over="ignore"):
+            return float(self._col_nuclear.sum())
 
 
 def from_block_dict(d: int, n: int, raw: dict):

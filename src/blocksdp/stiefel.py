@@ -71,18 +71,20 @@ def block_minimize(G: np.ndarray, current: np.ndarray | None = None):
     Returns (Y_star, achieved) where Y_star = U V^T from the thin SVD of -G
     and achieved = <G, Y_star> = -nuclear_norm(G).  For exactly-zero G every
     feasible point is optimal: `current` is returned unchanged when supplied,
-    the identity frame otherwise.
+    the identity frame otherwise.  A stack G (k, r, d), which must hold only
+    nonzero matrices, gives k minimizers and k achieved values, each
+    bit-identical to its own call.
     """
     G = np.asarray(G, dtype=float)
     if not np.isfinite(G).all():
         raise ValueError("block coupling matrix has non-finite entries")
-    if not G.any():
+    if G.ndim == 2 and not G.any():
         r, d = G.shape
         Y = current if current is not None else np.eye(r, d)
         return np.array(Y, dtype=float), 0.0
     U, s, Vt = np.linalg.svd(-G, full_matrices=False)
-    Y = U @ Vt
-    return Y, -float(s.sum())
+    Y, achieved = U @ Vt, -s.sum(axis=-1)
+    return (Y, float(achieved)) if G.ndim == 2 else (Y, achieved)
 
 
 def sym_coupling(Y: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -86,3 +86,63 @@ def align_blocks(estimate, truth):
     aligned = [R @ B for B in estimate]
     err = max(float(np.linalg.norm(a - t)) for a, t in zip(aligned, truth))
     return aligned, err
+
+
+def reference_solve(Q, config):
+    """The one-step-per-iteration solve loop: one sample_block draw and one
+    bcm_step per iteration, the gradient checked, the caches refreshed and
+    the stall window tested between any two steps.  `bcm.solve` must give the
+    same report and records (apart from wall_ns)."""
+    from blocksdp.bcm import (STALL_WINDOW_FACTOR, LogRecord, RunReport, _refresh,
+                              bcm_step, default_max_iters, grad_norm_sq_fast, init_state,
+                              max_available_descent, sample_block)
+    state = init_state(Q, config)
+    point, n = state.point, Q.n
+    f0 = point.cost
+    check_period = config.check_period or n
+    refresh_period = config.refresh_period or 10 * n
+    max_iters = config.max_iters or default_max_iters(Q, config, f0)
+    records, best_gradsq, best_k, best_point, max_drift = [], float("inf"), -1, None, 0.0
+    final_gradsq = None
+    while True:
+        gradsq_here = None
+        stall_hit = state.stall_count >= STALL_WINDOW_FACTOR * n
+        if state.k % check_period == 0 or stall_hit:
+            gradsq_here = grad_norm_sq_fast(point)
+            if gradsq_here < best_gradsq:
+                best_gradsq, best_k = gradsq_here, state.k
+                if config.return_best:
+                    best_point = FactorPoint(point.blocks.copy(), point.gcache.copy(),
+                                             point.cost)
+            if gradsq_here <= config.grad_tol:
+                reason, final_gradsq = "tolerance", gradsq_here
+                break
+            if stall_hit:
+                if max_available_descent(point) <= config.stall_rtol * (1.0 + abs(point.cost)):
+                    reason, final_gradsq = "stalled", gradsq_here
+                    break
+                state.stall_count = 0
+        if state.k >= max_iters:
+            reason, final_gradsq = "max_iters", gradsq_here
+            break
+        i_k = sample_block(state, config)
+        if i_k is None:
+            reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
+            break
+        cost_before = point.cost
+        pred, meas = bcm_step(state, Q, i_k)
+        if state.k % config.log_every == 0:
+            records.append(LogRecord(state.k, cost_before, i_k, pred, meas, gradsq_here, 0))
+        if abs(pred) < config.stall_rtol * (1.0 + abs(cost_before)):
+            state.stall_count += 1
+        else:
+            state.stall_count = 0
+        state.k += 1
+        if state.k % refresh_period == 0:
+            max_drift = max(max_drift, _refresh(state, Q))
+    if final_gradsq is None:
+        final_gradsq = grad_norm_sq_fast(point)
+    if final_gradsq < best_gradsq:
+        best_gradsq, best_k, best_point = final_gradsq, state.k, None
+    return RunReport(point if best_point is None else best_point, state.k, point.cost,
+                     final_gradsq, reason, records, f0, best_gradsq, best_k, max_drift, 0)

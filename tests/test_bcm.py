@@ -1,13 +1,14 @@
+import copy
 import hashlib
 import math
 
 import numpy as np
 import pytest
 from conftest import (dense_cost, gcache_residual, neighbors, random_instance, random_point,
-                      triangle)
+                      reference_solve, triangle)
 
-from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig,
-                      bcm_step, init_state, sample_block, solve)
+from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig, bcm,
+                      bcm_run, bcm_step, init_state, sample_block, solve)
 from blocksdp.bcm import max_available_descent
 from blocksdp.problems import generate_maxcut, generate_rotsync, maxcut_to_Q, sync_to_Q
 from blocksdp.stiefel import random_stiefel
@@ -326,12 +327,15 @@ def test_start_equals_per_block_loop(d, rank, n):
 
 # Replay fingerprints recorded with the O(n) cumsum draw, SVD nuclear norms
 # and the per-block start: (SHA-256 prefix of the sampled indices,
-# iterations, repr(final_cost)).
+# iterations, repr(final_cost)).  The sparse Max-Cut pin (n=2000, average
+# degree 6, mean conflict-free run about 20 steps) was recorded with one
+# draw and one bcm_step per iteration.
 REPLAY = {
     ("maxcut", "uniform"): ("2ac012ca24a2a0c4", 2460, "-118.2259122651146"),
     ("maxcut", "importance"): ("c1d348633193647f", 2220, "-118.22591226345249"),
     ("rotsync", "uniform"): ("b2c33e2cae5e2131", 725, "-238.17600271992612"),
     ("rotsync", "importance"): ("4c9895ef7fa70190", 850, "-238.1760027187031"),
+    ("sparse-maxcut", "uniform"): ("5224a3968876d5f6", 6000, "-6606.9991462187845"),
 }
 
 
@@ -339,6 +343,8 @@ REPLAY = {
 def test_replay_matches_recorded_trajectory(problem, sampling):
     if problem == "maxcut":
         Q, rank, tol = maxcut_to_Q(generate_maxcut(30, 0.3, seed=7)), 3, 1e-6
+    elif problem == "sparse-maxcut":
+        Q, rank, tol = maxcut_to_Q(generate_maxcut(2000, 0.003, seed=7)), 4, 8e3
     else:
         Q, rank, tol = sync_to_Q(generate_rotsync(25, 3, 0.3, 0.2, seed=7)), 5, 1e-8
     report = solve(Q, SolverConfig(rank=rank, sampling=sampling, grad_tol=tol, seed=3))
@@ -346,3 +352,170 @@ def test_replay_matches_recorded_trajectory(problem, sampling):
     digest = hashlib.sha256(blocks.tobytes()).hexdigest()[:16]
     assert report.termination == "tolerance"
     assert (digest, report.iterations, repr(report.final_cost)) == REPLAY[problem, sampling]
+
+
+def conflict_free_runs(Q, rng, count):
+    """count runs cut from a uniform index stream as solve cuts them: each
+    ends before the first index equal or adjacent to one of its members."""
+    runs, run, seen = [], [], set()
+    while len(runs) < count:
+        i = int(rng.integers(Q.n))
+        if i in seen:
+            runs.append(run)
+            run, seen = [], set()
+        run.append(i)
+        seen.update([i, *neighbors(Q, i)])
+    return runs
+
+
+def state_bytes(state):
+    p = state.point
+    return p.blocks.tobytes(), p.gcache.tobytes(), np.float64(p.cost).tobytes()
+
+
+def outcome(fn):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return [tuple(map(repr, step)) for step in fn()]
+    except (ValueError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def run_against_steps(state, Q, run):
+    """bcm_run on state and one bcm_step per block on a copy: both outcomes."""
+    ref = copy.deepcopy(state)
+    got = outcome(lambda: bcm_run(state, Q, run))
+    want = outcome(lambda: [(ref.point.cost, *bcm_step(ref, Q, i)) for i in run])
+    return got, want, ref
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """Counts the bcm_step calls that bcm_run makes."""
+    calls = []
+
+    def counted(state, Q, i):
+        calls.append(i)
+        return bcm_step(state, Q, i)
+
+    monkeypatch.setattr(bcm, "bcm_step", counted)
+    return calls
+
+
+@pytest.fixture
+def batch_all(monkeypatch):
+    """bcm_run batches runs of every length, so short runs test the batched path."""
+    monkeypatch.setattr(bcm, "RUN_BATCH_MIN", 1)
+
+
+def test_short_runs_take_single_steps(counted_steps):
+    rng = np.random.default_rng(29)
+    Q = random_instance(rng, 2, 40, density=0.05)
+    state = init_state(Q, SolverConfig(rank=3, seed=0))
+    runs = conflict_free_runs(Q, rng, 60)
+    assert {len(run) for run in runs} >= set(range(1, bcm.RUN_BATCH_MIN + 1))
+    for run in runs:
+        counted_steps.clear()
+        got, want, ref = run_against_steps(state, Q, run)
+        assert got == want and state_bytes(state) == state_bytes(ref)
+        assert counted_steps == (run if len(run) < bcm.RUN_BATCH_MIN else [])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_run_equals_sequential_steps_bit_for_bit(d, counted_steps, batch_all):
+    rng = np.random.default_rng(30 + d)
+    shared = 0
+    for trial in range(6):
+        Q = random_instance(rng, d, int(rng.integers(8, 30)), density=0.12)
+        state = init_state(Q, SolverConfig(rank=d + trial % 3, seed=trial))
+        for run in conflict_free_runs(Q, rng, 40):
+            counted_steps.clear()
+            got, want, ref = run_against_steps(state, Q, run)
+            assert got == want
+            assert state_bytes(state) == state_bytes(ref)
+            assert counted_steps == []  # batched, no fallback
+            nbrs = [j for i in run for j in neighbors(Q, i)]
+            shared += len(nbrs) > len(set(nbrs))
+    assert shared >= 10  # neighbours updated by several members, in run order
+
+
+def cancelling_star():
+    """Block 0 couples to 1 and 2, whose blocks cancel: G_0 is exactly zero.
+    Block 3 shares neighbour 1 with block 0, so [0, 3] is a conflict-free run."""
+    one = np.ones((1, 1))
+    Q = BlockSparseSym(1, 5, {(0, 1): one, (0, 2): one, (1, 3): one, (3, 4): 2.0 * one})
+    e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    start = FactorPoint.from_blocks([e2, e1, -e1, e2, e1], Q)
+    state = init_state(Q, SolverConfig(rank=2, seed=0), warm_start=start)
+    assert not state.point.gcache[0].any()
+    return Q, state
+
+
+def test_run_member_with_zero_coupling_is_a_noop(counted_steps, batch_all):
+    Q, state = cancelling_star()
+    state.point.gcache[2, 0, 0] = -0.0  # adding a zero would flip its sign
+    got, want, ref = run_against_steps(state, Q, [0, 3])
+    assert got == want and want[0][1:] == ("0.0", "0.0")
+    assert state_bytes(state) == state_bytes(ref)
+    assert np.signbit(state.point.gcache[2, 0, 0])
+    assert counted_steps == []
+    # a run whose members all have zero couplings changes nothing
+    state.point.gcache[3] = 0.0
+    before = state_bytes(state)
+    assert bcm_run(state, Q, [0, 3]) == [(state.point.cost, 0.0, 0.0)] * 2
+    assert state_bytes(state) == before
+
+
+def test_run_with_nonfinite_coupling_fails_like_the_steps(batch_all):
+    rng = np.random.default_rng(40)
+    Q = random_instance(rng, 2, 30, density=0.05)
+    state = init_state(Q, SolverConfig(rank=3, seed=1))
+    run = max(conflict_free_runs(Q, rng, 50), key=lambda run: state.point.gcache[run[:2]].any())
+    assert len(run) >= 3 and state.point.gcache[run[:2]].any(axis=(1, 2)).all()
+    state.point.gcache[run[2], 1, 0] = np.inf
+    got, want, ref = run_against_steps(state, Q, run)
+    assert got == want and got[0] is ValueError
+    assert state_bytes(state) == state_bytes(ref)  # the members before it were applied
+
+
+def test_run_with_nan_cost_names_the_same_block(batch_all):
+    Q, state = cancelling_star()
+    state.point.cost = float("nan")
+    got, want, ref = run_against_steps(state, Q, [0, 3])
+    assert got == want == (NumericalError, "non-finite update at block 3: cost=nan")
+    assert state_bytes(state) == state_bytes(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 5000, 2 ** 33])
+def test_chunked_uniform_draws_equal_scalar_draws(n):
+    scalar_rng, chunk_rng = np.random.default_rng(n), np.random.default_rng(n)
+    scalar = [int(scalar_rng.integers(n)) for _ in range(2500)]
+    chunked = chunk_rng.integers(n, size=1000).tolist() + chunk_rng.integers(n, size=1500).tolist()
+    assert chunked == scalar
+
+
+def assert_same_run(report, ref):
+    def recs(rep):
+        return [{**r.to_dict(), "wall_ns": None} for r in rep.records]
+    assert {**report.summary(), "wall_ns": None} == {**ref.summary(), "wall_ns": None}
+    assert report.point.blocks.tobytes() == ref.point.blocks.tobytes()
+    assert recs(report) == recs(ref)
+
+
+@pytest.mark.parametrize("d,rank,kwargs,termination", [
+    (1, 2, {"check_period": 7, "refresh_period": 13, "max_iters": 499}, "max_iters"),
+    (1, 2, {"check_period": 50, "refresh_period": 1000, "max_iters": 203}, "max_iters"),
+    (2, 3, {"check_period": 1, "max_iters": 300}, "max_iters"),
+    (3, 4, {"check_period": 11, "refresh_period": 5, "log_every": 3, "max_iters": 403}, "max_iters"),
+    # The tolerance 1e-22 runs each solve into the stall window.
+    (1, 2, {"log_every": 4, "return_best": True, "grad_tol": 1e-22}, "stalled"),
+    (2, 3, {"refresh_period": 17, "grad_tol": 1e-22}, "stalled"),
+    (3, 3, {"check_period": 9, "grad_tol": 1e-22, "return_best": True}, "stalled"),
+])
+def test_solve_matches_one_step_per_iteration_loop(d, rank, kwargs, termination):
+    rng = np.random.default_rng(50 + d)
+    Q = random_instance(rng, d, 16, density=0.15)
+    config = SolverConfig(rank=rank, seed=d, **kwargs)
+    report = solve(Q, config)
+    assert report.termination == termination
+    assert_same_run(report, reference_solve(Q, config))

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from conftest import dense_cost, neighbors, random_instance, triangle
 
-from blocksdp import (BlockSparseSym, ParseError, from_block_dict, nuclear_norm,
+from blocksdp import (BlockSparseSym, ParseError, SolverConfig, from_block_dict, nuclear_norm,
                       random_stiefel, read_bsm, read_matrix_market, write_bsm)
+from blocksdp.bcm import default_max_iters
 
 
 def from_dense(Qraw, d):
@@ -108,6 +110,19 @@ def test_c2_at_most_n_times_c1():
         Q = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(2, 8)),
                             density=float(rng.uniform(0.2, 1.0)))
         assert Q.c2() <= Q.n * Q.c1() + 1e-12
+
+
+@pytest.mark.parametrize("d,blocks", [
+    (1, {(0, 1): [[1e308]], (0, 2): [[1e308]]}),  # column 0 sums two 1e308 norms
+    (2, {(0, 1): [[1e308, 0.0], [0.0, 1e308]]}),  # one nuclear norm past the range
+])
+def test_c1_c2_past_the_float_range_are_quietly_inf(d, blocks):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q = BlockSparseSym(d, 3, {k: np.array(B) for k, B in blocks.items()})
+        assert math.isinf(Q.c1()) and math.isinf(Q.c2())
+    with pytest.raises(ValueError, match="set an explicit cap"):
+        default_max_iters(Q, SolverConfig(rank=2), 0.0)
 
 
 def test_nuclear_norm_values():

@@ -66,6 +66,18 @@ def test_block_minimize_zero_without_current_is_feasible():
     assert is_orthonormal(Y)
 
 
+@pytest.mark.parametrize("r,d", [(8, 1), (3, 2), (5, 3)])
+def test_block_minimize_stack_equals_one_call_per_matrix(r, d):
+    rng = np.random.default_rng(r + d)
+    G = rng.standard_normal((9, r, d)) * 10.0 ** rng.integers(-6, 6, size=(9, 1, 1))
+    Y, achieved = block_minimize(G)
+    for k in range(9):
+        Y_k, achieved_k = block_minimize(G[k])
+        assert Y[k].tobytes() == Y_k.tobytes() and achieved[k] == achieved_k
+    with pytest.raises(ValueError, match="non-finite"):
+        block_minimize(np.where(np.arange(9)[:, None, None] == 4, np.nan, G))
+
+
 def test_block_minimize_beats_random_candidates():
     rng = np.random.default_rng(2)
     for _ in range(5):
