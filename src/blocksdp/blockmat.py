@@ -19,11 +19,17 @@ with m data lines, 1-based indices i < j, and the d x d block in row-major
 order.  Matrix Market coordinate files are accepted for d = 1.  Every text
 format is read by `_read_rows` and written by `_write_rows`, with the checks
 on whole arrays; a malformed file raises ParseError naming a faulty line.
+`_read_rows` converts the data lines in one np.loadtxt pass and leaves any
+doubt to a row reader, so the accepted inputs and the messages are the row
+reader's.  The readers hand index and block arrays to
+`BlockSparseSym.from_arrays`, the one construction path.
 """
 
 from __future__ import annotations
 
+import warnings
 from functools import partial
+from itertools import compress, repeat
 
 import numpy as np
 from scipy.sparse import bsr_matrix
@@ -81,16 +87,50 @@ def _read_rows(path, lines, first: int, n_int: int, n_float: int, messages, comm
     int() and float() would, of the rows of lines[first:] but blank lines and those
     starting with `comment`.  A wrong field count, a non-number or a non-finite value
     raises ParseError with messages[0], [1] or [2], formatted with the stripped
-    `line`, its `fields`, their count `got` and (for [2]) its integers `ints`."""
-    split = list(map(str.split, lines[first:]))
-    at = first + 1 + np.flatnonzero([bool(f) and not f[0].startswith(comment) for f in split])
-    fields = [split[k - first - 1] for k in at]
+    `line`, its `fields`, their count `got` and (for [2]) its integers `ints`.
+
+    The rows are converted in one C-level pass (`_load_table`); the row reader
+    `_convert_rows` takes over whenever that pass has any doubt, so it alone accepts
+    what only int() and float() read and names a faulty line."""
+    body = lines[first:]
+    heads = list(map(str.lstrip, body))
+    data = np.fromiter(map(bool, heads), bool, len(heads))
+    if comment:
+        data &= ~np.fromiter(map(str.startswith, heads, repeat(comment)), bool, len(heads))
+    at = first + 1 + np.flatnonzero(data)
+    rows = list(compress(body, data))
+    table = _load_table(rows, n_int, n_float)
+    if table is None:
+        table = _convert_rows(path, at, rows, n_int, n_float, messages)
+    return (at, *table)
+
+
+def _load_table(rows, n_int: int, n_float: int):
+    """Integers (n_int, k) and floats (k, n_float) of the k strings rows from one
+    np.loadtxt pass, or None when that pass raises, warns, returns another number of
+    rows or meets a non-finite value.  loadtxt reads a subset of what int() and
+    float() accept (ASCII digits, int64 range), to the same values."""
+    dtype = np.dtype([("i", np.int64, (n_int,)), ("x", np.float64, (n_float,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):  # loadtxt's conversion and column-count errors
+        return None
+    if len(table) != len(rows) or not np.isfinite(table["x"]).all():
+        return None
+    return table["i"].T, table["x"]
+
+
+def _convert_rows(path, at, rows, n_int: int, n_float: int, messages):
+    """_read_rows' conversion one row at a time, by int() and float()."""
+    fields = list(map(str.split, rows))
     width = n_int + n_float
 
     def error(kind, k):
         f = fields[k]
         values = [int(v) for v in f[:n_int]] if kind == 2 else None  # all rows convert by then
-        message = messages[kind].format(line=lines[at[k] - 1].strip(), fields=f, got=len(f), ints=values)
+        message = messages[kind].format(line=rows[k].strip(), fields=f, got=len(f), ints=values)
         return ParseError(path, at[k], message)
 
     _reject(np.fromiter(map(len, fields), np.intp, len(fields)) != width, partial(error, 0))
@@ -105,7 +145,7 @@ def _read_rows(path, lines, first: int, n_int: int, n_float: int, messages, comm
             except ValueError:
                 raise error(1, k) from None
     _reject(~np.isfinite(floats).all(axis=1), partial(error, 2))
-    return at, ints, floats
+    return ints.reshape(n_int, len(rows)), floats
 
 
 def _write_rows(path, header: str, *columns) -> None:
@@ -163,21 +203,41 @@ def _stack_blocks(d: int, blocks: dict):
                      f"expected ({d},{d})")
 
 
+def _check_dimensions(d: int, n: int) -> None:
+    if d < 1 or n < 1:
+        raise ValueError(f"invalid dimensions d={d}, n={n}")
+
+
 class BlockSparseSym:
     """Symmetric dn x dn matrix with zero diagonal blocks, stored blockwise.
 
-    Built from blocks keyed by the ordered pair (i, j) with i < j; the
-    (j, i) block is the transpose.  Exact-zero blocks are dropped.
+    Built from blocks keyed by the ordered pair (i, j) with i < j, as a dict
+    or as arrays (`from_arrays`); the (j, i) block is the transpose.
+    Exact-zero blocks are dropped.
     Instances are immutable after construction and safe to share across
     threads for reads.
     """
 
     def __init__(self, d: int, n: int, blocks: dict):
-        if d < 1 or n < 1:
-            raise ValueError(f"invalid dimensions d={d}, n={n}")
-        i, j, B = _stack_blocks(d, blocks)
+        """The matrix of the blocks {(i, j): B}: from_arrays of its keys and blocks in dict order."""
+        _check_dimensions(d, n)
+        self._build(d, n, *_stack_blocks(d, blocks))
+
+    @classmethod
+    def from_arrays(cls, d: int, n: int, i, j, B) -> "BlockSparseSym":
+        """The matrix with block B[k] (an array (k, d, d)) at the pair (i[k], j[k])."""
+        _check_dimensions(d, n)
+        Q = cls.__new__(cls)
+        Q._build(d, n, i, j, np.asarray(B, dtype=float))
+        return Q
+
+    def _build(self, d, n, i, j, B) -> None:
         self.d = int(d)
         self.n = int(n)
+        if not len(i) == len(j) == len(B) or B.ndim != 3:
+            raise ValueError(f"{len(i)} and {len(j)} keys for blocks of shape {B.shape}")
+        _reject(np.repeat(B.shape[1:] != (d, d), len(B)),  # the blocks of a stack share one shape
+                lambda k: ValueError(f"block ({i[k]},{j[k]}) has shape {B.shape[1:]}, expected ({d},{d})"))
         _reject(~((0 <= i) & (i < j) & (j < n)),
                 lambda k: ValueError(f"block key ({i[k]},{j[k]}) is not 0 <= i < j < n={n}"))
         _reject(~np.isfinite(B).all(axis=(1, 2)),
@@ -251,7 +311,11 @@ def from_block_dict(d: int, n: int, raw: dict):
     tr(R X) = tr(Q X) + offset for the matrix R assembled from raw and every X
     with identity diagonal blocks.
     """
-    i, j, B = _stack_blocks(d, raw)
+    return _symmetrize(d, n, *_stack_blocks(d, raw))
+
+
+def _symmetrize(d: int, n: int, i, j, B):
+    """from_block_dict of the blocks B[k] (an array (k, d, d)) at the distinct keys (i[k], j[k])."""
     # The constructor checks the off-diagonal blocks; diagonal ones only enter the offset.
     diag = i == j
     _reject(diag & ~((0 <= i) & (i < n)),
@@ -266,8 +330,7 @@ def from_block_dict(d: int, n: int, raw: dict):
     start = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])][:len(a)])
     sums = np.add.reduceat(half, start) if len(half) else half
     seen = np.argsort(order[start])  # the pairs in order of first appearance
-    return BlockSparseSym(d, n, dict(zip(zip(a[start][seen].tolist(), b[start][seen].tolist()),
-                                         sums[seen]))), offset
+    return BlockSparseSym.from_arrays(d, n, a[start][seen], b[start][seen], sums[seen]), offset
 
 
 def write_bsm(Q: BlockSparseSym, path) -> None:
@@ -290,7 +353,7 @@ def read_bsm(path) -> BlockSparseSym:
     _reject(_repeats(i, j), lambda k: ParseError(path, at[k], f"duplicate block ({i[k]},{j[k]})"))
     if len(i) != m:
         raise ParseError(path, len(lines), f"header declares {m} blocks, file has {len(i)}")
-    return BlockSparseSym(d, n, dict(zip(zip((i - 1).tolist(), (j - 1).tolist()), X.reshape(-1, d, d))))
+    return BlockSparseSym.from_arrays(d, n, i - 1, j - 1, X.reshape(-1, d, d))
 
 
 def read_matrix_market(path):
@@ -342,4 +405,4 @@ def read_matrix_market(path):
     if symmetric:
         off = i != j
         i, j, X = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[X, X[off]]
-    return from_block_dict(1, rows, dict(zip(zip(i.tolist(), j.tolist()), X.reshape(-1, 1, 1))))
+    return _symmetrize(1, rows, i, j, X.reshape(-1, 1, 1))

@@ -49,22 +49,44 @@ def maxcut_to_Q(g: EdgeListGraph) -> BlockSparseSym:
     Minimizing tr(Q X) over the elliptope relaxes Max-Cut: for x in {-1,+1}^n,
     cut(x) = W/2 - F(x)/4.
     """
-    blocks = {(i, j): np.array([[w]]) for i, j, w in g.edges}
-    return BlockSparseSym(1, g.n, blocks)
+    i, j, w = zip(*g.edges) if g.edges else ((), (), ())
+    return BlockSparseSym.from_arrays(1, g.n, _int_array(i), _int_array(j),
+                                      np.array(w, dtype=float).reshape(-1, 1, 1))
 
 
 def generate_maxcut(n: int, edge_prob: float, seed: int, weighted: bool = False) -> EdgeListGraph:
     """Erdos-Renyi graph; unit weights, or uniform(0, 1) when weighted."""
     if n < 2 or not (0.0 < edge_prob <= 1.0):
         raise ValueError(f"invalid generator parameters n={n}, edge_prob={edge_prob}")
+    # One uniform draw per pair i < j in row order, each kept pair followed by its
+    # weight's draw when weighted; drawn in blocks, which gives the same stream.
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                w = float(rng.random()) if weighted else 1.0
-                edges.append((i, j, w))
-    return EdgeListGraph(n, edges)
+    pairs = n * (n - 1) // 2
+    kept, weights = [], []
+    drawn = run = 0  # pair draws so far; length of the run of draws < edge_prob ending them
+    while drawn < pairs or weighted and len(weights) < len(kept):
+        u = rng.random(min(1 << 16, 2 * (pairs - drawn) + 1))
+        low = u < edge_prob
+        if weighted:
+            # A weight draw follows each kept pair draw, so from the start and after each
+            # draw >= edge_prob the draws alternate pair, weight, pair, ... while they stay
+            # below edge_prob: draw t is a pair draw exactly when the run of draws below
+            # edge_prob just before it has even length.
+            t = np.arange(len(u))
+            last = np.maximum.accumulate(np.where(low, -1 - run, t))
+            is_pair = (t - np.r_[-1 - run, last[:-1]]) % 2 == 1
+            run = len(u) - 1 - int(last[-1])
+            weights.extend(u[~is_pair].tolist())
+        else:
+            is_pair = np.ones(len(u), dtype=bool)
+        at = np.flatnonzero(is_pair)[:pairs - drawn]
+        kept.extend((drawn + np.flatnonzero(low[at])).tolist())
+        drawn += len(at)
+    k = np.array(kept, dtype=np.int64)
+    starts = np.cumsum(np.r_[0, np.arange(n - 1, 0, -1)])  # index of the pair (i, i + 1)
+    i = np.searchsorted(starts, k, side="right") - 1
+    w = weights[:len(kept)] if weighted else [1.0] * len(kept)
+    return EdgeListGraph(n, list(zip(i.tolist(), (k - starts[i] + i + 1).tolist(), w)))
 
 
 def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,8 +176,10 @@ def generate_rotsync(n: int, d: int, edge_prob: float, noise: float, seed: int,
 def sync_to_Q(inst: SyncInstance) -> BlockSparseSym:
     """Cost matrix with Q_[i,j] = -0.5 * measurement, so each edge adds
     -tr(R_ij Y_j^T Y_i) to the cost."""
-    blocks = {(i, j): -0.5 * meas for i, j, meas in inst.edges}
-    return BlockSparseSym(inst.d, inst.n, blocks)
+    d = inst.d
+    i, j, meas = zip(*inst.edges) if inst.edges else ((), (), np.zeros((0, d, d)))
+    return BlockSparseSym.from_arrays(d, inst.n, _int_array(i), _int_array(j),
+                                      -0.5 * np.array(meas, dtype=float))
 
 
 def ground_truth_blocks(inst: SyncInstance):

@@ -146,3 +146,16 @@ def reference_solve(Q, config):
         best_gradsq, best_k, best_point = final_gradsq, state.k, None
     return RunReport(point if best_point is None else best_point, state.k, point.cost,
                      final_gradsq, reason, records, f0, best_gradsq, best_k, max_drift, 0)
+
+
+def generate_maxcut_loop(n, edge_prob, seed, weighted=False):
+    """problems.generate_maxcut as one scalar draw per pair i < j, in row order,
+    each kept pair followed by its weight's draw when weighted."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                w = float(rng.random()) if weighted else 1.0
+                edges.append((i, j, w))
+    return edges

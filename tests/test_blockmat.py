@@ -85,6 +85,51 @@ def test_construction_validation():
         BlockSparseSym(2, 3, {(0, 1): np.full((2, 2), np.inf)})
 
 
+def assert_same_matrix(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a.mat, name), getattr(b.mat, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert a.column_nuclear_sums().tobytes() == b.column_nuclear_sums().tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_array_construction_equals_dict_construction(d):
+    rng = np.random.default_rng(d)
+    n = 9
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = [pairs[k] for k in rng.permutation(len(pairs))[:20]]  # not in row order
+    blocks = {k: rng.standard_normal((d, d)) for k in keys}
+    blocks[keys[3]] = np.zeros((d, d))  # exact zeros are dropped
+    blocks[keys[5]] = -np.zeros((d, d))
+    i, j = np.array(keys).T
+    Q = BlockSparseSym.from_arrays(d, n, i, j, np.array(list(blocks.values())))
+    assert Q.num_blocks == 18
+    assert_same_matrix(Q, BlockSparseSym(d, n, blocks))
+    assert_same_matrix(BlockSparseSym.from_arrays(d, n, i[:0], j[:0], np.zeros((0, d, d))),
+                       BlockSparseSym(d, n, {}))
+    with pytest.raises(ValueError, match="keys for blocks of shape"):
+        BlockSparseSym.from_arrays(d, n, i, j[1:], np.array(list(blocks.values())))
+
+
+@pytest.mark.parametrize("blocks", [
+    {(0, 1): np.eye(2), (1, 1): np.eye(2)},  # diagonal key
+    {(2, 1): np.eye(2)},  # wrong orientation
+    {(0, 3): np.eye(2)},  # past n
+    {(-1, 2): np.eye(2)},
+    {(0, 1): np.eye(2), (1, 2): np.full((2, 2), np.inf)},
+    {(0, 1): np.array([[1.0, np.nan], [0.0, 1.0]])},
+    {(0, 1): np.eye(3), (0, 2): np.eye(3)},  # wrong shape
+    {(0, 1): np.ones((2, 1))},
+])
+def test_array_construction_raises_the_dict_construction_errors(blocks):
+    with pytest.raises(ValueError) as from_dict:
+        BlockSparseSym(2, 3, blocks)
+    i, j = np.array(list(blocks)).T
+    with pytest.raises(ValueError) as from_arrays:
+        BlockSparseSym.from_arrays(2, 3, i, j, np.array(list(blocks.values())))
+    assert str(from_arrays.value) == str(from_dict.value)
+
+
 def test_zero_blocks_dropped_by_symmetrization():
     A = np.array([[0.0, 1.0], [2.0, 0.0]])
     raw = {(0, 1): A, (1, 0): -A.T}  # symmetric part cancels exactly

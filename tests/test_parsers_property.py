@@ -3,10 +3,14 @@
 Any text built from header-like and numeric tokens either parses into a
 finite instance or solution, or raises ParseError; never another exception.
 Writing a random instance or solution and reading it back gives it exactly.
+The one-pass conversion and the row reader read every text alike.
 """
 
 import tempfile
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from blocksdp import (BlockSparseSym, EdgeListGraph, ParseError, read_bsm, read_edgelist,
-                      read_matrix_market, read_yfactor, write_bsm, write_yfactor)
+from blocksdp import (BlockSparseSym, EdgeListGraph, ParseError, blockmat, read_bsm,
+                      read_edgelist, read_matrix_market, read_yfactor, write_bsm, write_yfactor)
 from blocksdp.problems import write_edgelist
 from blocksdp.stiefel import FEASIBILITY_TOL, feasibility_residual
 
@@ -191,3 +195,186 @@ def test_yfactor_roundtrip_is_exact(scratch, shape, data):
     path = scratch / "rt.yf"
     write_yfactor(Y, path)
     np.testing.assert_array_equal(read_yfactor(path, reproject=False), Y)
+
+
+# The one-pass table (blockmat._load_table) and the row reader must agree: the
+# same arrays and line numbers, or the same ParseError.  Patching _load_table
+# to give up runs the row reader alone.
+
+def row_reader_only():
+    return mock.patch.object(blockmat, "_load_table", return_value=None)
+
+
+@contextmanager
+def one_pass_outcomes():
+    """Record what each _load_table call returned (None: the row reader took over)."""
+    seen, real = [], blockmat._load_table
+    with mock.patch.object(blockmat, "_load_table", lambda *a: seen.append(real(*a)) or seen[-1]):
+        yield seen
+
+
+def arrays_bytes(*arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def outcome(read, path):
+    """What read(path) gives, as bytes, or its ParseError's path, line and message."""
+    try:
+        result = read(path)
+    except ParseError as exc:
+        return exc.path, exc.lineno, str(exc)
+    if isinstance(result, tuple):  # read_matrix_market's (Q, offset)
+        result, offset = result
+        return repr(offset), outcome(lambda _: result, path)
+    if isinstance(result, BlockSparseSym):
+        return (result.d, result.n, *arrays_bytes(result.mat.data, result.mat.indices,
+                                                  result.mat.indptr, result.column_nuclear_sums()))
+    if isinstance(result, EdgeListGraph):
+        return result.n, repr(result.edges)
+    return arrays_bytes(result)
+
+
+READERS = {"bsm": read_bsm, "mtx": read_matrix_market, "edges": read_edgelist,
+           "yfactor": partial(read_yfactor, reproject=False)}
+
+
+def assert_paths_agree(kind, path):
+    fast = outcome(READERS[kind], path)
+    with row_reader_only():
+        assert outcome(READERS[kind], path) == fast
+    return fast
+
+
+ODD = ["1_0", "١", "1.0", "2.5", "9223372036854775808", "-9223372036854775809", "0x1",
+       "x", "3\x00", "∞", "nan", "-inf", "Infinity", "1e400", "1e", "++1", ""]
+CLEAN_INT = st.one_of(st.integers(-3, 12).map(str),
+                      st.sampled_from(["+4", "05", "-0", "9223372036854775807"]))
+CLEAN_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.sampled_from(["1e-320", ".5", "5.", "1E5", "-0.0", "+1.5", "7"]))
+
+
+@st.composite
+def garbled(draw, rows, comment=""):
+    """Text of rows (lists of fields), a few with an odd token or a wrong field count,
+    with odd whitespace, blank and comment lines between them and CRLF or LF endings."""
+    lines = []
+    for fields in rows:
+        for _ in range(draw(st.integers(0, 3)) // 2):
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u2003", "\x0c", *[comment] * 2])))
+        kind = draw(st.sampled_from(["clean"] * 8 + ["odd", "count"]))
+        fields = list(fields)
+        if kind == "odd":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD))
+        if kind == "count":
+            fields = fields[1:] if draw(st.booleans()) else fields + ["1"]
+        gaps = [draw(st.sampled_from([" ", " ", "\t", "  ", "\u2003", "\x1c"])) for _ in fields]
+        lines.append(draw(st.sampled_from(["", "", " ", "\t"]))
+                     + "".join(g + f for g, f in zip([""] + gaps[1:], fields)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def rows_text(n_int, n_float, comment=""):
+    """Lines of n_int integers then n_float floats, garbled."""
+    row = st.tuples(*[CLEAN_INT] * n_int, *[CLEAN_FLOAT] * n_float)
+    return st.lists(row, max_size=8).flatmap(lambda rows: garbled(rows, comment))
+
+
+@st.composite
+def formatted_files(draw):
+    """(kind, text): a valid file in one of the four formats, garbled."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    d, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    pairs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=8))
+    values = st.lists(CLEAN_FLOAT, min_size=d * d, max_size=d * d)
+    if kind == "yfactor":
+        r = draw(st.integers(d, 3))
+        rows = draw(st.lists(st.lists(CLEAN_FLOAT, min_size=d, max_size=d), min_size=r,
+                             max_size=3 * r).map(lambda rows: rows[:len(rows) // r * r]))
+        return kind, f"YFACTOR {r} {d} {len(rows) // r}\n" + draw(garbled(rows))
+    if kind == "bsm":
+        rows = [(str(min(p)), str(max(p)), *draw(values)) for p in dict.fromkeys(map(frozenset, pairs))]
+        return kind, f"BSM {d} {n} {len(rows)}\n" + draw(garbled(rows))
+    rows = [(str(i), str(j), draw(CLEAN_FLOAT)) for i, j in pairs]
+    if kind == "edges":
+        return kind, draw(garbled(rows, "#"))
+    head = f"%%MatrixMarket matrix coordinate real general\n{n} {n} {len(rows)}\n"
+    return kind, head + draw(garbled(rows, "%"))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=formatted_files())
+def test_one_pass_and_row_reader_give_the_same_result(scratch, case):
+    kind, text = case
+    path = scratch / f"paths.{kind}"
+    path.write_bytes(text.encode())
+    assert_paths_agree(kind, path)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(data=st.data(), n_int=st.integers(0, 2), n_float=st.integers(1, 3),
+       comment=st.sampled_from(["", "#", "%"]))
+def test_one_pass_and_row_reader_read_the_same_rows(scratch, data, n_int, n_float, comment):
+    path = scratch / "rows.txt"
+    path.write_bytes(data.draw(rows_text(n_int, n_float, comment)).encode())
+    lines = open(path).readlines()
+    messages = ("{got} fields: {fields} in {line!r}", "bad {line!r}", "non-finite {ints} {fields}")
+
+    def read():
+        try:
+            return arrays_bytes(*blockmat._read_rows(path, lines, 0, n_int, n_float, messages,
+                                                     comment or ()))
+        except ParseError as exc:
+            return exc.path, exc.lineno, str(exc)
+
+    fast = read()
+    with row_reader_only():
+        assert read() == fast
+
+
+def bsm_with(*rows, n=12, end="\n"):
+    return end.join([f"BSM 1 {n} {sum(bool(r.strip()) for r in rows)}", *rows]) + end
+
+
+@pytest.mark.parametrize("kind,text,fell_back,expected", [
+    # int() reads underscores, non-ASCII digits and integers past int64; loadtxt does not.
+    ("bsm", bsm_with("1_0 12 2.0"), True, {(9, 11): 2.0}),
+    ("bsm", bsm_with("١ 3 2.0", "2 3 1e-3"), True, {(0, 2): 2.0, (1, 2): 1e-3}),
+    ("edges", "1 2 1.0\n1 99999999999999999999 1.0\n", True,
+     "2: indices must fit in int64, got (1,99999999999999999999)"),
+    ("bsm", bsm_with("1 3 2.0", "1.0 2 3.0"), True, "3: non-numeric field in '1.0 2 3.0'"),
+    ("bsm", bsm_with("1 2", "1 3"), True, "2: expected 2 indices + 1 block entries, got 2 fields"),
+    ("bsm", bsm_with("1 2 1.0 x", "1 3"), True,
+     "2: expected 2 indices + 1 block entries, got 4 fields"),
+    # Blank, whitespace-only and CRLF lines and a single row take the one pass.
+    ("bsm", bsm_with("", "1 3 2.0", " \t ", "2 3 -1.5", "", end="\r\n"), False,
+     {(0, 2): 2.0, (1, 2): -1.5}),
+    ("bsm", bsm_with("1 2 3.5"), False, {(0, 1): 3.5}),
+    ("yfactor", "YFACTOR 1 1 1\n\n  -0.5  \n\n", False, [[[-0.5]]]),
+    ("bsm", bsm_with("", "1 3 2.0", "   ", "2 3 inf"), True, "5: non-finite entries in block (2,3)"),
+])
+def test_unusual_input_reads_as_before(scratch, kind, text, fell_back, expected):
+    path = scratch / f"unusual.{kind}"
+    path.write_bytes(text.encode())
+    with one_pass_outcomes() as seen:
+        result = assert_paths_agree(kind, path)
+    assert (seen[-1] is None) == fell_back
+    if isinstance(expected, str):
+        assert result[1:] == (int(expected.split(":")[0]), f"{path}:{expected}")
+    elif kind == "bsm":
+        Q = BlockSparseSym(1, 12, {k: np.array([[v]]) for k, v in expected.items()})
+        assert result == outcome(lambda _: Q, path)
+    else:
+        assert result == arrays_bytes(np.array(expected))
+
+
+def test_written_files_take_the_one_pass(scratch):
+    rng = np.random.default_rng(4)
+    Q = BlockSparseSym(2, 5, {(0, 1): rng.standard_normal((2, 2)), (1, 4): np.eye(2)})
+    write_bsm(Q, scratch / "w.bsm")
+    write_yfactor(rng.standard_normal((3, 2, 2)), scratch / "w.yf")
+    with one_pass_outcomes() as seen:
+        read_bsm(scratch / "w.bsm")
+        read_yfactor(scratch / "w.yf")
+    assert len(seen) == 2 and None not in seen

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import align_blocks, triangle
+from conftest import align_blocks, generate_maxcut_loop, triangle
 
 from blocksdp import (EdgeListGraph, ParseError, SolverConfig,
                       certify_global, evaluate_cost, generate_maxcut,
@@ -68,6 +68,26 @@ def test_maxcut_generator_deterministic():
     assert a.edges != c.edges
     w = generate_maxcut(10, 0.5, seed=2, weighted=True)
     assert all(0.0 < wt < 1.0 for _, _, wt in w.edges)
+
+
+def test_uniform_draws_in_blocks_equal_scalar_draws():
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    blocks = np.concatenate([a.random(k) for k in (1, 7, 1000, 3)])
+    np.testing.assert_array_equal(blocks, [b.random() for _ in range(len(blocks))])
+
+
+@pytest.mark.parametrize("n,edge_prob,seed,weighted", [
+    (2, 1.0, 0, True), (2, 0.5, 1, False), (12, 0.5, 2, True), (40, 0.3, 5, True),
+    (80, 0.05, 9, True), (300, 1.0, 3, True), (300, 0.99, 4, True), (400, 0.02, 6, False),
+    (500, 0.5, 7, True), (500, 0.5, 7, False),
+])
+def test_maxcut_generator_matches_scalar_draw_loop(n, edge_prob, seed, weighted):
+    # At n=300 and edge_prob near 1 a run of draws below edge_prob crosses the
+    # first block of draws, so the pair/weight alternation must carry over.
+    edges = generate_maxcut(n, edge_prob, seed, weighted).edges
+    expected = generate_maxcut_loop(n, edge_prob, seed, weighted)
+    assert edges == expected
+    assert [tuple(map(type, e)) for e in edges] == [(int, int, float)] * len(expected)
 
 
 def test_rotsync_generator_deterministic():
