@@ -9,15 +9,19 @@ against a from-scratch evaluation at every cache refresh.
 
 Randomness comes from numpy's default PCG64 generator seeded with
 SolverConfig.seed: one batched draw of the n starting blocks (none when a
-warm start is supplied), then one draw per sampled index.  An importance
-draw searches the sums of chunks of about sqrt(n) weights, then one chunk.
-Uniform draws, made 1024 at a time (the same stream), are cut into runs of
-distinct, non-adjacent, hence commuting, steps: bcm_run applies a run
-bit-identically to one bcm_step per index, which short runs still take.
+warm start is supplied), then one draw per sampled index, which solve makes
+1024 at a time (the same stream).  An importance draw searches the sums of
+chunks of about sqrt(n) weights, then one chunk.  solve takes the steps
+between two checks in one call: uniform indices are cut into runs of
+distinct, non-adjacent, hence commuting, steps that bcm_run applies
+bit-identically to one bcm_step per index (short runs take bcm_step);
+importance steps, each drawn from the weights the one before left, take
+sample_block and bcm_step in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -26,8 +30,9 @@ import numpy as np
 
 from .analysis import (BoundInputs, grad_norm_sq_fast, iteration_bound_importance,
                        iteration_bound_uniform)
-from .blockmat import BlockSparseSym, nuclear_norm
-from .stiefel import FactorPoint, block_minimize, project_stiefel
+from .blockmat import BlockSparseSym, column_norms, nuclear_norm
+from .stiefel import (FactorPoint, block_minimize, check_coupling, minimize_nonzero,
+                      project_stiefel)
 
 # The sampling schemes, each with its worst-case iteration bound.
 SAMPLING_SCHEMES = {"uniform": iteration_bound_uniform,
@@ -44,6 +49,12 @@ STALL_WINDOW_FACTOR = 5
 # Shortest run that bcm_run batches: for runs of two or three, one bcm_step
 # per block is faster (Max-Cut and rotation sync, degree 10 to 1000).
 RUN_BATCH_MIN = 4
+# Draws per generator call in a solve: uniform indices, importance uniforms.
+DRAW_CHUNK = 1024
+# For d = 1 a coupling of a feasible point has norm at most C1 (to rounding):
+# up to this C1 its squares cannot overflow, so its importance weight needs
+# no np.errstate.
+QUIET_C1 = 2.0 ** 500
 
 
 class NumericalError(RuntimeError):
@@ -167,8 +178,8 @@ def sample_block(state: SolverState, config: SolverConfig) -> int | None:
     if config.sampling == "uniform":
         return int(state.rng.integers(n))
     weights = state.nuclear_cache
-    size = math.isqrt(n)
-    cum = np.add.reduceat(weights, np.arange(0, n, size)).cumsum()
+    size, starts = _chunks(n)
+    cum = np.add.reduceat(weights, starts).cumsum()
     total = cum[-1]
     if total <= 0.0:
         return None
@@ -177,6 +188,29 @@ def sample_block(state: SolverState, config: SolverConfig) -> int | None:
     start = c * size
     return start + _first_above(weights[start:start + size].cumsum(),
                                 u - cum[c - 1] if c else u)
+
+
+@functools.lru_cache(maxsize=8)
+def _chunks(n: int):
+    """Chunk size isqrt(n) of the importance draw and the (read-only) chunk starts."""
+    size = math.isqrt(n)
+    starts = np.arange(0, n, size)
+    starts.flags.writeable = False
+    return size, starts
+
+
+class _Predrawn:
+    """Stands in for the generator of an importance solve: random() returns the
+    values of rng.random(size=DRAW_CHUNK) one by one, the same stream as one
+    rng.random() call per value."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.random = self._values(rng).__next__
+
+    @staticmethod
+    def _values(rng: np.random.Generator):
+        while True:
+            yield from rng.random(size=DRAW_CHUNK).tolist()
 
 
 def _first_above(cum, u) -> int:
@@ -194,27 +228,38 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     Returns (pred_descent, meas_descent): the descent-identity value
     -2 (||G||_* + <G, Y_old>) applied to the tracked cost, and the directly
     measured 2 <G, Y_new - Y_old>.  Couplings G_j change only for the
-    neighbors j in block row i_k of Q: G_j += (Y_new - Y_old) Q_[i_k,j].
+    neighbors j in block row i_k of Q: G_j += (Y_new - Y_old) Q_[i_k,j],
+    and with them their importance weights ||G_j||_*.  A zero G_i makes the
+    step a no-op; a non-finite one raises ValueError, a non-finite cost or
+    block NumericalError (after the update).  The one step of the solver:
+    every importance step and every short uniform run takes it.
     """
     point = state.point
-    G = point.gcache[i_k]
-    Y_old = point.blocks[i_k]
-    if not G.any():
+    G, Y_old = point.gcache[i_k], point.blocks[i_k]
+    if not np.count_nonzero(G):
         return 0.0, 0.0
-    Y_new, achieved = block_minimize(G, current=Y_old)
-    nuc = -achieved
     inner_old = float(np.vdot(G, Y_old))
+    if not math.isfinite(inner_old):  # so it is for every non-finite G
+        check_coupling(G)
+    Y_new, nuc = minimize_nonzero(G)
+    nuc = float(nuc)
+    inner_new = float(np.vdot(G, Y_new))
     pred = -2.0 * (nuc + inner_old)
-    meas = 2.0 * (float(np.vdot(G, Y_new)) - inner_old)
-    p0, p1 = Q.mat.indptr[i_k], Q.mat.indptr[i_k + 1]
-    nbr = Q.mat.indices[p0:p1]
-    point.gcache[nbr] += (Y_new - Y_old) @ Q.mat.data[p0:p1]
-    if state.nuclear_cache is not None:
-        state.nuclear_cache[nbr] = nuclear_norm(point.gcache[nbr])
-        state.nuclear_cache[i_k] = nuc
+    meas = 2.0 * (inner_new - inner_old)
+    mat = Q.mat
+    p0, p1 = mat.indptr[i_k], mat.indptr[i_k + 1]
+    nbr = Q.cols[p0:p1]
+    Gn = point.gcache.take(nbr, axis=0) + (Y_new - Y_old) @ mat.data[p0:p1]
+    point.gcache[nbr] = Gn
+    weights = state.nuclear_cache
+    if weights is not None:
+        quiet = Q.d == 1 and p1 > p0 and Q.c1() <= QUIET_C1
+        weights[nbr] = column_norms(Gn) if quiet else nuclear_norm(Gn)
+        weights[i_k] = nuc
     point.blocks[i_k] = Y_new
     point.cost += pred
-    if not (math.isfinite(point.cost) and np.isfinite(Y_new).all()):
+    # G is finite here, so a finite <G, Y_new> implies a finite Y_new.
+    if not (math.isfinite(point.cost) and (math.isfinite(inner_new) or np.isfinite(Y_new).all())):
         raise NumericalError(
             f"non-finite update at block {i_k}: cost={point.cost!r}")
     return pred, meas
@@ -263,21 +308,34 @@ def _vdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A.reshape(k, 1, r * d) @ B.reshape(k, r * d, 1)).ravel()
 
 
-def _uniform_runs(rng: np.random.Generator, Q: BlockSparseSym):
-    """Conflict-free runs of the uniform index stream: a run ends at the cap sent
-    for it, or before the first index equal or adjacent to one of its members,
-    found by stamping each member and its neighbours with the run's number
-    (through an intp copy of Q's block columns: int32 ones cost a cast each)."""
-    ind, ptr = Q.mat.indices.astype(np.intp), Q.mat.indptr.tolist()
+def _uniform_runs(state: SolverState, Q: BlockSparseSym):
+    """Conflict-free runs of the uniform index stream, each applied by bcm_run and
+    yielded with its steps: a run ends at the cap sent for it, or before the
+    first index equal or adjacent to one of its members, found by stamping each
+    member and its neighbours with the run's number."""
+    ind, ptr = Q.cols, Q.mat.indptr.tolist()
     stamp = np.zeros(Q.n, dtype=np.int64)
     cap, run, rid = (yield), [], 1
     while True:
-        for i in rng.integers(Q.n, size=1024).tolist():
+        for i in state.rng.integers(Q.n, size=DRAW_CHUNK).tolist():
             if len(run) == cap or stamp[i] == rid:
-                cap, run, rid = (yield run), [], rid + 1
+                cap, run, rid = (yield run, bcm_run(state, Q, run)), [], rid + 1
             run.append(i)
             stamp[ind[ptr[i]:ptr[i + 1]]] = rid
             stamp[i] = rid
+
+
+def _importance_runs(state: SolverState, Q: BlockSparseSym, config: SolverConfig):
+    """Importance runs: sent a cap, take up to that many steps, each drawn from
+    the weights the one before left, and yield the run and its steps.  A run
+    ends early once the weights sum to zero, and the run after it is empty."""
+    cap = yield
+    while True:
+        run, steps = [], []
+        while len(run) < cap and (i := sample_block(state, config)) is not None:
+            steps.append((state.point.cost, *bcm_step(state, Q, i)))
+            run.append(i)
+        cap = yield run, steps
 
 
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
@@ -329,10 +387,12 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
     max_drift = 0.0
     final_gradsq = None
     reason = None
-    uniform = config.sampling == "uniform"
-    if uniform:
-        runs = _uniform_runs(state.rng, Q)
-        next(runs)
+    if config.sampling == "uniform":
+        runs = _uniform_runs(state, Q)
+    else:
+        state.rng = _Predrawn(state.rng)
+        runs = _importance_runs(state, Q, config)
+    next(runs)
 
     while True:
         gradsq_here = None
@@ -356,17 +416,12 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
         if state.k >= max_iters:
             reason, final_gradsq = "max_iters", gradsq_here
             break
-        if uniform:
-            k = state.k  # a run ends before the next check, refresh, cap or stall trigger
-            run = runs.send(min(check_period - k % check_period, refresh_period - k % refresh_period,
-                                max_iters - k, stall_window - state.stall_count))
-        else:
-            i_k = sample_block(state, config)
-            if i_k is None:
-                reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
-                break
-            run = [i_k]
-        steps = bcm_run(state, Q, run)
+        k = state.k  # a run ends before the next check, refresh, cap or stall trigger
+        run, steps = runs.send(min(check_period - k % check_period, refresh_period - k % refresh_period,
+                                   max_iters - k, stall_window - state.stall_count))
+        if not run:  # all importance weights zero: every G_i, so the gradient, vanishes
+            reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
+            break
         wall = time.perf_counter_ns() - t0  # shared by the steps of a run
         for i_k, (cost_before, pred, meas) in zip(run, steps):
             if state.k % config.log_every == 0:

@@ -177,17 +177,26 @@ def nuclear_norm(M):
     if M.size == 0:
         return np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0
     if M.shape[-1] == 1:
-        C = M.reshape(-1, M.shape[-2])
-        with np.errstate(over="ignore"):  # such columns take the SVD below
-            sq = (C * C).sum(axis=1)
-        s = np.sqrt(sq)
-        if not (_SQ_MIN <= sq.min() and sq.max() <= _SQ_MAX):
-            far = ~((_SQ_MIN <= sq) & (sq <= _SQ_MAX))
-            s[far] = np.linalg.svd(C[far, :, None], compute_uv=False)[:, 0]
-        s = s.reshape(M.shape[:-2])
+        with np.errstate(over="ignore"):  # overflowing squares take the SVD
+            s = column_norms(M)
     else:
         s = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
     return s if M.ndim > 2 else float(s)
+
+
+def column_norms(M):
+    """nuclear_norm's d = 1 case without its np.errstate: the norms of a
+    nonempty stack of columns (k, r, 1), or of one column (r, 1) as an array
+    of shape ().  Squares of entries beyond about 1.3e154 overflow (with a
+    RuntimeWarning unless the caller ignores or rules out overflow) and take
+    the SVD, as do columns whose squares underflow."""
+    C = M.reshape(-1, M.shape[-2])
+    sq = (C * C).sum(axis=1)
+    s = np.sqrt(sq)
+    if not (_SQ_MIN <= np.minimum.reduce(sq) and np.maximum.reduce(sq) <= _SQ_MAX):
+        far = ~((_SQ_MIN <= sq) & (sq <= _SQ_MAX))
+        s[far] = np.linalg.svd(C[far, :, None], compute_uv=False)[:, 0]
+    return s.reshape(M.shape[:-2])
 
 
 def _stack_blocks(d: int, blocks: dict):
@@ -203,9 +212,15 @@ def _stack_blocks(d: int, blocks: dict):
                      f"expected ({d},{d})")
 
 
+# The largest d or n: block indices are numpy intp.
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def _check_dimensions(d: int, n: int) -> None:
     if d < 1 or n < 1:
         raise ValueError(f"invalid dimensions d={d}, n={n}")
+    if max(d, n) > _INTP_MAX:
+        raise ValueError(f"dimensions d={d}, n={n} exceed the index range {_INTP_MAX}")
 
 
 class BlockSparseSym:
@@ -250,10 +265,13 @@ class BlockSparseSym:
         data = np.concatenate([upper, upper.transpose(0, 2, 1)])[order]
         self.mat = bsr_matrix((data, cols[order], indptr), shape=(d * n, d * n),
                               blocksize=(d, d))
+        # The block columns of mat as intp: numpy casts int32 indices at every use.
+        self.cols = self.mat.indices.astype(np.intp, copy=False)
         # Each pair adds its nuclear norm to both of its columns, in input order (inf past range).
         with np.errstate(over="ignore"):
             self._col_nuclear = np.bincount(np.stack([i, j], axis=1).ravel(),
                                             weights=np.repeat(nuclear_norm(upper), 2), minlength=n)
+        self._c1 = float(self._col_nuclear.max())  # read by every importance step
 
     @property
     def num_blocks(self) -> int:
@@ -293,7 +311,7 @@ class BlockSparseSym:
 
     def c1(self) -> float:
         """max_i of the column sums of off-diagonal block nuclear norms (inf past the range)."""
-        return float(self._col_nuclear.max())
+        return self._c1
 
     def c2(self) -> float:
         """Sum of block nuclear norms over all ordered pairs i != j (inf past the range)."""
@@ -345,6 +363,8 @@ def read_bsm(path) -> BlockSparseSym:
     lines, (d, n, m) = _read_header(path, "BSM d n m")
     if d < 1 or n < 1:
         raise ParseError(path, 1, f"header needs d >= 1 and n >= 1, got d={d}, n={n}")
+    if max(d, n) > _INTP_MAX:
+        raise ParseError(path, 1, f"header d={d}, n={n} exceeds the index range {_INTP_MAX}")
     at, (i, j), X = _read_rows(path, lines, 1, 2, d * d, (
         f"expected 2 indices + {d * d} block entries, got {{got}} fields",
         "non-numeric field in {line!r}", "non-finite entries in block ({ints[0]},{ints[1]})"))

@@ -76,15 +76,27 @@ def block_minimize(G: np.ndarray, current: np.ndarray | None = None):
     bit-identical to its own call.
     """
     G = np.asarray(G, dtype=float)
-    if not np.isfinite(G).all():
-        raise ValueError("block coupling matrix has non-finite entries")
+    check_coupling(G)
     if G.ndim == 2 and not G.any():
         r, d = G.shape
         Y = current if current is not None else np.eye(r, d)
         return np.array(Y, dtype=float), 0.0
+    Y, nuc = minimize_nonzero(G)
+    return (Y, -float(nuc)) if G.ndim == 2 else (Y, -nuc)
+
+
+def check_coupling(G: np.ndarray) -> None:
+    """Raise ValueError when a coupling matrix (or a stack) has a non-finite entry."""
+    if not np.isfinite(G).all():
+        raise ValueError("block coupling matrix has non-finite entries")
+
+
+def minimize_nonzero(G: np.ndarray):
+    """block_minimize of a finite G with a nonzero entry, or a stack of them,
+    unchecked: the minimizer U V^T from the thin SVD of -G and ||G||_*, the
+    sum of the singular values (as an array: one per matrix of a stack)."""
     U, s, Vt = np.linalg.svd(-G, full_matrices=False)
-    Y, achieved = U @ Vt, -s.sum(axis=-1)
-    return (Y, float(achieved)) if G.ndim == 2 else (Y, achieved)
+    return U @ Vt, s.sum(axis=-1)
 
 
 def sym_coupling(Y: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from conftest import (dense_cost, gcache_residual, neighbors, random_instance, r
 from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig, bcm,
                       bcm_run, bcm_step, init_state, sample_block, solve)
 from blocksdp.bcm import max_available_descent
+from blocksdp.blockmat import nuclear_norm
 from blocksdp.problems import generate_maxcut, generate_rotsync, maxcut_to_Q, sync_to_Q
-from blocksdp.stiefel import random_stiefel
+from blocksdp.stiefel import block_minimize, random_stiefel
 
 
 def make_state(Q, rank, seed, sampling="uniform"):
@@ -329,13 +331,15 @@ def test_start_equals_per_block_loop(d, rank, n):
 # and the per-block start: (SHA-256 prefix of the sampled indices,
 # iterations, repr(final_cost)).  The sparse Max-Cut pin (n=2000, average
 # degree 6, mean conflict-free run about 20 steps) was recorded with one
-# draw and one bcm_step per iteration.
+# draw and one bcm_step per iteration, its importance pin (chunks of 44
+# weights, 2000 steps between checks) with one rng.random() call per draw.
 REPLAY = {
     ("maxcut", "uniform"): ("2ac012ca24a2a0c4", 2460, "-118.2259122651146"),
     ("maxcut", "importance"): ("c1d348633193647f", 2220, "-118.22591226345249"),
     ("rotsync", "uniform"): ("b2c33e2cae5e2131", 725, "-238.17600271992612"),
     ("rotsync", "importance"): ("4c9895ef7fa70190", 850, "-238.1760027187031"),
     ("sparse-maxcut", "uniform"): ("5224a3968876d5f6", 6000, "-6606.9991462187845"),
+    ("sparse-maxcut", "importance"): ("2f3c03cc0b897b04", 6000, "-6578.346075811877"),
 }
 
 
@@ -494,12 +498,25 @@ def test_chunked_uniform_draws_equal_scalar_draws(n):
     assert chunked == scalar
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 5000])
+def test_chunked_importance_uniforms_equal_scalar_draws(n):
+    scalar_rng, chunk_rng = np.random.default_rng(n), np.random.default_rng(n)
+    scalar = [scalar_rng.random() for _ in range(2500)]
+    chunked = chunk_rng.random(size=1000).tolist() + chunk_rng.random(size=1500).tolist()
+    assert chunked == scalar
+    predrawn = bcm._Predrawn(np.random.default_rng(n))  # what an importance solve draws from
+    assert [predrawn.random() for _ in range(2500)] == scalar
+
+
 def assert_same_run(report, ref):
     def recs(rep):
         return [{**r.to_dict(), "wall_ns": None} for r in rep.records]
     assert {**report.summary(), "wall_ns": None} == {**ref.summary(), "wall_ns": None}
     assert report.point.blocks.tobytes() == ref.point.blocks.tobytes()
     assert recs(report) == recs(ref)
+
+
+IMPORTANCE = {"sampling": "importance"}
 
 
 @pytest.mark.parametrize("d,rank,kwargs,termination", [
@@ -511,6 +528,18 @@ def assert_same_run(report, ref):
     (1, 2, {"log_every": 4, "return_best": True, "grad_tol": 1e-22}, "stalled"),
     (2, 3, {"refresh_period": 17, "grad_tol": 1e-22}, "stalled"),
     (3, 3, {"check_period": 9, "grad_tol": 1e-22, "return_best": True}, "stalled"),
+    # Importance runs end at the check, refresh, cap or stall trigger inside them.
+    (1, 2, {**IMPORTANCE, "check_period": 7, "refresh_period": 13, "max_iters": 499}, "max_iters"),
+    (2, 3, {**IMPORTANCE, "check_period": 1, "max_iters": 300}, "max_iters"),
+    (3, 4, {**IMPORTANCE, "check_period": 11, "refresh_period": 5, "log_every": 3,
+            "max_iters": 403}, "max_iters"),
+    (1, 2, {**IMPORTANCE, "check_period": 1000, "grad_tol": 1e-22}, "stalled"),
+    (2, 3, {**IMPORTANCE, "check_period": 1000, "refresh_period": 45, "log_every": 7,
+            "grad_tol": 1e-22, "return_best": True}, "stalled"),
+    (3, 3, {**IMPORTANCE, "check_period": 9, "grad_tol": 1e-22, "return_best": True}, "stalled"),
+    (1, 2, {**IMPORTANCE, "check_period": 30, "grad_tol": 1e-6, "log_every": 5,
+            "return_best": True}, "tolerance"),
+    (2, 3, {**IMPORTANCE, "check_period": 30, "refresh_period": 70, "grad_tol": 1e-6}, "tolerance"),
 ])
 def test_solve_matches_one_step_per_iteration_loop(d, rank, kwargs, termination):
     rng = np.random.default_rng(50 + d)
@@ -519,3 +548,96 @@ def test_solve_matches_one_step_per_iteration_loop(d, rank, kwargs, termination)
     report = solve(Q, config)
     assert report.termination == termination
     assert_same_run(report, reference_solve(Q, config))
+
+
+@pytest.fixture
+def faulty_start(monkeypatch):
+    """Makes bcm.init_state apply the fault set in the returned dict to each
+    state it builds, and bcm.bcm_step record the blocks it is called on."""
+    made = {"fault": None, "states": [], "steps": []}
+    init_state, bcm_step = bcm.init_state, bcm.bcm_step
+
+    def faulty_init_state(*args, **kwargs):
+        state = init_state(*args, **kwargs)
+        made["fault"](state)
+        made["states"].append(state)
+        return state
+
+    def recorded_step(state, Q, i):
+        made["steps"].append(i)
+        return bcm_step(state, Q, i)
+
+    monkeypatch.setattr(bcm, "init_state", faulty_init_state)
+    monkeypatch.setattr(bcm, "bcm_step", recorded_step)
+    return made
+
+
+def stolen_draw(j):
+    """A fault: block j's coupling holds NaN and its weight dwarfs the others'."""
+    def fault(state):
+        state.point.gcache[j, 1, 0] = np.nan
+        state.nuclear_cache[j] = 1e300
+    return fault
+
+
+def nan_neighbour(j):
+    """A fault: block j's coupling holds NaN, its weight unchanged."""
+    def fault(state):
+        state.point.gcache[j, 0, 1] = np.nan
+    return fault
+
+
+def nan_cost(state):
+    state.point.cost = float("nan")
+
+
+@pytest.mark.parametrize("fault,error", [
+    (stolen_draw(4), ValueError), (nan_neighbour(4), np.linalg.LinAlgError),
+    (nan_cost, NumericalError)], ids=["nan-coupling", "nan-neighbour", "nan-cost"])
+def test_importance_solve_fails_like_one_step_per_iteration(faulty_start, fault, error):
+    rng = np.random.default_rng(61)
+    Q = random_instance(rng, 2, 16, density=0.2)
+    config = SolverConfig(rank=3, sampling="importance", seed=2, check_period=40, max_iters=10 ** 4)
+    faulty_start["fault"] = fault
+    outcomes, steps = [], []
+    for run in (solve, reference_solve):
+        faulty_start["steps"].clear()
+        with pytest.raises(Exception) as exc:
+            run(Q, config)
+        outcomes.append((exc.type, str(exc.value)))
+        steps.append(list(faulty_start["steps"]))
+    assert outcomes[0] == outcomes[1] and issubclass(outcomes[0][0], error)
+    assert steps[0] == steps[1] and steps[0]  # failing at the same block
+    got, want = faulty_start["states"]
+    assert state_bytes(got) == state_bytes(want)  # the same updates applied before it
+    assert got.nuclear_cache.tobytes() == want.nuclear_cache.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e200])
+def test_step_weights_are_nuclear_norms_without_warnings(d, scale):
+    # Squared entries of the couplings underflow at 1e-170 and overflow at 1e200.
+    rng = np.random.default_rng(70 + d)
+    Q = random_instance(rng, d, 12, density=0.3, scale=scale)
+    config = SolverConfig(rank=d + 1, sampling="importance", seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = init_state(Q, config)
+        for _ in range(200):
+            i = sample_block(state, config)
+            G = state.point.gcache[i].copy()
+            bcm_step(state, Q, i)
+            nbr = neighbors(Q, i)
+            weights = state.nuclear_cache
+            assert weights[nbr].tobytes() == nuclear_norm(state.point.gcache[nbr]).tobytes()
+            assert weights[i] == -block_minimize(G)[1]
+
+
+def test_solve_on_weights_past_the_float_range_is_quiet():
+    # C1, C2 and the start's cost overflow: the cap is refused before a step,
+    # and neither the start's importance weights nor the refusal warn.
+    Q = BlockSparseSym(1, 3, {(0, 1): np.array([[1e308]]), (0, 2): np.array([[1e308]])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="set an explicit cap"):
+            solve(Q, SolverConfig(rank=2, sampling="importance"))

@@ -130,6 +130,15 @@ def test_array_construction_raises_the_dict_construction_errors(blocks):
     assert str(from_arrays.value) == str(from_dict.value)
 
 
+@pytest.mark.parametrize("d,n", [(1, 2 ** 63), (1, 99999999999999999999), (2 ** 64, 3)])
+def test_dimensions_past_the_index_range_raise(d, n):
+    i, j, B = np.array([0]), np.array([1]), np.ones((1, 1, 1))
+    with pytest.raises(ValueError, match="exceed the index range"):
+        BlockSparseSym.from_arrays(d, n, i, j, B)
+    with pytest.raises(ValueError, match="exceed the index range"):
+        BlockSparseSym(d, n, {})
+
+
 def test_zero_blocks_dropped_by_symmetrization():
     A = np.array([[0.0, 1.0], [2.0, 0.0]])
     raw = {(0, 1): A, (1, 0): -A.T}  # symmetric part cancels exactly
@@ -259,6 +268,8 @@ def deep_fault_rows(kind):
     ("BSM 1 2 2\n1 2 1.0\n", 2),
     ("BSM 0 2 0\n", 1),
     ("BSM 1 0 0\n", 1),
+    ("BSM 1 99999999999999999999 1\n1 99999999999999999998 1.0\n", 1),  # n past int64
+    ("BSM 99999999999999999999 2 1\n1 2 1.0\n", 1),  # d past int64
     *(pytest.param("BSM 1 1201 1200\n" + deep_fault_rows(kind), DEEP + 2, id=f"deep-{kind}")
       for kind in DEEP_FAULTS),
 ])

@@ -182,6 +182,19 @@ def test_edgelist_index_beyond_int64_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("error:") and f"{inst}:2:" in err
 
 
+def test_bsm_dimension_beyond_int64_is_a_parse_error(tmp_path):
+    inst = tmp_path / "huge.bsm"
+    inst.write_text("BSM 1 99999999999999999999 1\n1 99999999999999999998 1.0\n")
+    src = str(Path(blocksdp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "blocksdp.cli", "solve", "--input", str(inst),
+                           "--rank", "2"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and f"{inst}:1:" in proc.stderr
+
+
 def test_edgelist_index_beyond_memory_is_an_error(tmp_path):
     # An index that fits in int64 sizes an n-long array; under a 2 GiB
     # address-space limit the allocation fails at once instead of paging.
