@@ -11,14 +11,13 @@ from .analysis import (BoundInputs, CertificateReport, build_certificate_matrix,
                        iteration_bound_uniform, sdp_lift_check)
 from .bcm import (LogRecord, NumericalError, RunReport, SolverConfig,
                   SolverState, bcm_run, bcm_step, init_state, sample_block, solve)
-from .blockmat import (BlockSparseSym, ParseError, from_block_dict,
-                       nuclear_norm, read_bsm, read_matrix_market, write_bsm)
+from .blockmat import (BlockSparseSym, ParseError, nuclear_norm, read_bsm,
+                       read_matrix_market, write_bsm)
 from .problems import (EdgeListGraph, SyncInstance, generate_maxcut, generate_rotsync,
                        ground_truth_blocks, maxcut_to_Q, read_edgelist, read_instance,
                        sync_to_Q)
 from .stiefel import (FactorPoint, block_minimize, compute_gcache, evaluate_cost,
                       feasibility_residual, is_orthonormal, project_stiefel,
-                      random_stiefel, read_yfactor, riemannian_grad_oracle,
-                      sym_coupling, write_yfactor)
+                      read_yfactor, riemannian_grad_oracle, sym_coupling, write_yfactor)
 
 __version__ = "0.1.0"

@@ -1,22 +1,23 @@
 """Randomized block-coordinate minimization.
 
-Each iteration samples one block index (uniformly or proportionally to the
-nuclear norms of the cached couplings), replaces that block with the
-closed-form minimizer of its subproblem, and updates the couplings of the
-sampled block's neighbors incrementally.  The cost is tracked by the descent
-recurrence F_{k+1} = F_k - 2 (||G_i||_* + <G_i, Y_i>) and cross-checked
-against a from-scratch evaluation at every cache refresh.
+Each iteration samples one block index under a sampling scheme, one entry
+of SAMPLING_SCHEMES (uniformly or proportionally to the nuclear norms of the
+cached couplings), replaces that block with the closed-form minimizer of its
+subproblem, and updates the couplings of the sampled block's neighbors
+incrementally.  The cost is tracked by the descent recurrence
+F_{k+1} = F_k - 2 (||G_i||_* + <G_i, Y_i>) and cross-checked against a
+from-scratch evaluation at every cache refresh.
 
 Randomness comes from numpy's default PCG64 generator seeded with
 SolverConfig.seed: one batched draw of the n starting blocks (none when a
 warm start is supplied), then one draw per sampled index, which solve makes
 1024 at a time (the same stream).  An importance draw searches the sums of
 chunks of about sqrt(n) weights, then one chunk.  solve takes the steps
-between two checks in one call: uniform indices are cut into runs of
-distinct, non-adjacent, hence commuting, steps that bcm_run applies
-bit-identically to one bcm_step per index (short runs take bcm_step);
-importance steps, each drawn from the weights the one before left, take
-sample_block and bcm_step in turn.
+between two checks in one call of the scheme's run generator: uniform
+indices are cut into runs of distinct, non-adjacent, hence commuting, steps
+that bcm_run applies bit-identically to one bcm_step per index (short runs
+take bcm_step); importance steps, each drawn from the weights the one before
+left, take sample_block and bcm_step in turn.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,10 +35,6 @@ from .analysis import (BoundInputs, grad_norm_sq_fast, iteration_bound_importanc
 from .blockmat import BlockSparseSym, column_norms, nuclear_norm
 from .stiefel import (FactorPoint, block_minimize, check_coupling, minimize_nonzero,
                       project_stiefel)
-
-# The sampling schemes, each with its worst-case iteration bound.
-SAMPLING_SCHEMES = {"uniform": iteration_bound_uniform,
-                    "importance": iteration_bound_importance}
 
 # Relative per-step cost change below which an iteration counts as stalled.
 STALL_RTOL = 1e-14
@@ -51,10 +49,6 @@ STALL_WINDOW_FACTOR = 5
 RUN_BATCH_MIN = 4
 # Draws per generator call in a solve: uniform indices, importance uniforms.
 DRAW_CHUNK = 1024
-# For d = 1 a coupling of a feasible point has norm at most C1 (to rounding):
-# up to this C1 its squares cannot overflow, so its importance weight needs
-# no np.errstate.
-QUIET_C1 = 2.0 ** 500
 
 
 class NumericalError(RuntimeError):
@@ -84,6 +78,10 @@ class SolverConfig:
     def validate(self, Q: BlockSparseSym) -> None:
         if self.sampling not in SAMPLING_SCHEMES:
             raise ValueError(f"unknown sampling scheme {self.sampling!r}")
+        # At feasible points ||G_i||_F <= ||G_i||_* <= C1 and sum_i ||G_i||_F^2
+        # <= C1 C2, so the gradient norm, the weight sums and the cost stay finite.
+        if not math.isfinite(4.0 * Q.c1() * Q.c2()):
+            raise ValueError(f"block norms past the float range: C1 = {Q.c1()}, C2 = {Q.c2()}")
         if self.rank < Q.d:
             raise ValueError(f"rank {self.rank} smaller than block dimension {Q.d}")
         if self.grad_tol <= 0:
@@ -103,7 +101,7 @@ class SolverState:
     point: FactorPoint
     rng: np.random.Generator
     k: int = 0
-    nuclear_cache: np.ndarray | None = None
+    weights: np.ndarray | None = None  # a weighted scheme's draw weights ||G_i||_*
     stall_count: int = 0
 
 
@@ -159,25 +157,25 @@ def init_state(Q: BlockSparseSym, config: SolverConfig,
         if warm_start.r != config.rank:
             raise ValueError(f"warm start has rank {warm_start.r}, config expects {config.rank}")
         point = FactorPoint.from_blocks(warm_start.blocks, Q)
-    # The importance-sampling weights ||G_i||_*.
-    nuclear = nuclear_norm(point.gcache) if config.sampling == "importance" else None
-    return SolverState(point=point, rng=rng, nuclear_cache=nuclear)
+    weights = nuclear_norm(point.gcache) if SAMPLING_SCHEMES[config.sampling].weighted else None
+    return SolverState(point=point, rng=rng, weights=weights)
 
 
-def sample_block(state: SolverState, config: SolverConfig) -> int | None:
-    """Draw the next block index under the configured distribution.
+def sample_block(state: SolverState) -> int | None:
+    """Draw the next block index: uniformly when state.weights is None, else
+    proportionally to the weights.
 
-    An importance draw inverts the CDF of the weights nuclear_cache in two
-    levels: a chunk of about sqrt(n) blocks by the prefix sums of the chunk
-    sums, then a block by that chunk's prefix sums.  It never returns a
-    block of zero weight.  With all-zero couplings it returns None: every
-    G_i vanishing means the Riemannian gradient is zero, so the caller
-    should terminate with the tolerance reason.
+    A weighted draw inverts the CDF of the weights in two levels: a chunk of
+    about sqrt(n) blocks by the prefix sums of the chunk sums, then a block
+    by that chunk's prefix sums.  It never returns a block of zero weight.
+    With all-zero weights it returns None: every G_i vanishing means the
+    Riemannian gradient is zero, so the caller should terminate with the
+    tolerance reason.
     """
     n = state.point.n
-    if config.sampling == "uniform":
+    weights = state.weights
+    if weights is None:
         return int(state.rng.integers(n))
-    weights = state.nuclear_cache
     size, starts = _chunks(n)
     cum = np.add.reduceat(weights, starts).cumsum()
     total = cum[-1]
@@ -251,10 +249,9 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     nbr = Q.cols[p0:p1]
     Gn = point.gcache.take(nbr, axis=0) + (Y_new - Y_old) @ mat.data[p0:p1]
     point.gcache[nbr] = Gn
-    weights = state.nuclear_cache
-    if weights is not None:
-        quiet = Q.d == 1 and p1 > p0 and Q.c1() <= QUIET_C1
-        weights[nbr] = column_norms(Gn) if quiet else nuclear_norm(Gn)
+    weights = state.weights
+    if weights is not None:  # validate rules out overflowing squares in column_norms
+        weights[nbr] = column_norms(Gn) if Q.d == 1 and p1 > p0 else nuclear_norm(Gn)
         weights[i_k] = nuc
     point.blocks[i_k] = Y_new
     point.cost += pred
@@ -270,11 +267,11 @@ def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> list:
     adjacent in Q): one batched SVD, the neighbour updates added in run order
     by one np.add.at and the cost accumulated in sequence, bit-identical to
     one bcm_step per block.  Runs shorter than RUN_BATCH_MIN, runs whose
-    steps would fail (they raise as bcm_step does) and importance-weighted
-    states take bcm_step.  Returns (cost_before, pred, meas) per step.
+    steps would fail (they raise as bcm_step does) and weighted states take
+    bcm_step.  Returns (cost_before, pred, meas) per step.
     """
     point = state.point
-    if len(run) >= RUN_BATCH_MIN and state.nuclear_cache is None and point.gcache.flags.c_contiguous:
+    if len(run) >= RUN_BATCH_MIN and state.weights is None and point.gcache.flags.c_contiguous:
         G = point.gcache[run]
         live = G.any(axis=(1, 2))  # a zero G_i makes its step a no-op; the SVD skips it
         if np.isfinite(G).all():
@@ -325,23 +322,32 @@ def _uniform_runs(state: SolverState, Q: BlockSparseSym):
             stamp[i] = rid
 
 
-def _importance_runs(state: SolverState, Q: BlockSparseSym, config: SolverConfig):
+def _importance_runs(state: SolverState, Q: BlockSparseSym):
     """Importance runs: sent a cap, take up to that many steps, each drawn from
     the weights the one before left, and yield the run and its steps.  A run
     ends early once the weights sum to zero, and the run after it is empty."""
+    state.rng = _Predrawn(state.rng)  # the same uniforms, DRAW_CHUNK per generator call
     cap = yield
     while True:
         run, steps = [], []
-        while len(run) < cap and (i := sample_block(state, config)) is not None:
+        while len(run) < cap and (i := sample_block(state)) is not None:
             steps.append((state.point.cost, *bcm_step(state, Q, i)))
             run.append(i)
         cap = yield run, steps
 
 
+# A sampling scheme: runs(state, Q), primed by next() and sent a cap, takes at most cap
+# steps and yields (run, steps) with (cost_before, pred, meas) per step (none: a zero
+# gradient); weighted keeps the draw weights ||G_i||_* in state.weights; bound(b) -> K.
+Scheme = namedtuple("Scheme", "runs weighted bound")
+SAMPLING_SCHEMES = {"uniform": Scheme(_uniform_runs, False, iteration_bound_uniform),
+                    "importance": Scheme(_importance_runs, True, iteration_bound_importance)}
+
+
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
     drift = state.point.refresh(Q)
-    if state.nuclear_cache is not None:
-        state.nuclear_cache = nuclear_norm(state.point.gcache)
+    if state.weights is not None:
+        state.weights = nuclear_norm(state.point.gcache)
     return drift
 
 
@@ -352,12 +358,16 @@ def max_available_descent(point: FactorPoint) -> float:
     return float(max(0.0, (2.0 * (nuclear_norm(G) + inner)).max()))
 
 
+def iteration_bound(Q: BlockSparseSym, sampling: str, f0: float, fstar: float, eps: float) -> int:
+    """The scheme's worst-case iteration count to gradsq eps from cost f0 (fstar
+    when below) down to the lower bound fstar; ValueError past the float range."""
+    b = BoundInputs(d=Q.d, n=Q.n, f0=max(f0, fstar), fstar=fstar, eps=eps, c1=Q.c1(), c2=Q.c2())
+    return SAMPLING_SCHEMES[sampling].bound(b)
+
+
 def default_max_iters(Q: BlockSparseSym, config: SolverConfig, f0: float) -> int:
-    """Worst-case iteration bound of the scheme with F* = -C2(Q); ValueError if C1/C2 is inf."""
-    fstar = -Q.c2()
-    b = BoundInputs(d=Q.d, n=Q.n, f0=max(f0, fstar), fstar=fstar, eps=config.grad_tol,
-                    c1=Q.c1(), c2=Q.c2())
-    return SAMPLING_SCHEMES[config.sampling](b)
+    """iteration_bound of the configured scheme with F* = -C2(Q)."""
+    return iteration_bound(Q, config.sampling, f0, -Q.c2(), config.grad_tol)
 
 
 def solve(Q: BlockSparseSym, config: SolverConfig,
@@ -387,11 +397,7 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
     max_drift = 0.0
     final_gradsq = None
     reason = None
-    if config.sampling == "uniform":
-        runs = _uniform_runs(state, Q)
-    else:
-        state.rng = _Predrawn(state.rng)
-        runs = _importance_runs(state, Q, config)
+    runs = SAMPLING_SCHEMES[config.sampling].runs(state, Q)
     next(runs)
 
     while True:
@@ -419,7 +425,7 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
         k = state.k  # a run ends before the next check, refresh, cap or stall trigger
         run, steps = runs.send(min(check_period - k % check_period, refresh_period - k % refresh_period,
                                    max_iters - k, stall_window - state.stall_count))
-        if not run:  # all importance weights zero: every G_i, so the gradient, vanishes
+        if not run:  # all draw weights zero: every G_i, so the gradient, vanishes
             reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
             break
         wall = time.perf_counter_ns() - t0  # shared by the steps of a run

@@ -271,7 +271,7 @@ class BlockSparseSym:
         with np.errstate(over="ignore"):
             self._col_nuclear = np.bincount(np.stack([i, j], axis=1).ravel(),
                                             weights=np.repeat(nuclear_norm(upper), 2), minlength=n)
-        self._c1 = float(self._col_nuclear.max())  # read by every importance step
+        self._c1 = float(self._col_nuclear.max())
 
     @property
     def num_blocks(self) -> int:
@@ -319,21 +319,16 @@ class BlockSparseSym:
             return float(self._col_nuclear.sum())
 
 
-def from_block_dict(d: int, n: int, raw: dict):
-    """Build a preprocessed matrix from sparse blocks keyed by (i, j), 0-based.
+def _symmetrize(d: int, n: int, i, j, B):
+    """The preprocessed matrix of the d x d blocks B[k] (an array (k, d, d)) at
+    the distinct 0-based keys (i[k], j[k]) of a dn x dn matrix R.
 
     Keys may appear in either orientation (a missing orientation counts as a
     zero block); diagonal keys contribute only to the returned trace offset.
-    Returns (Q, offset): Q holds 0.5*(raw[i,j] + raw[j,i]^T) for i < j (exact
+    Returns (Q, offset): Q holds 0.5*(R[i,j] + R[j,i]^T) for i < j (exact
     zeros dropped) and offset sums the traces of the diagonal blocks, so that
-    tr(R X) = tr(Q X) + offset for the matrix R assembled from raw and every X
-    with identity diagonal blocks.
+    tr(R X) = tr(Q X) + offset for every X with identity diagonal blocks.
     """
-    return _symmetrize(d, n, *_stack_blocks(d, raw))
-
-
-def _symmetrize(d: int, n: int, i, j, B):
-    """from_block_dict of the blocks B[k] (an array (k, d, d)) at the distinct keys (i[k], j[k])."""
     # The constructor checks the off-diagonal blocks; diagonal ones only enter the offset.
     diag = i == j
     _reject(diag & ~((0 <= i) & (i < n)),

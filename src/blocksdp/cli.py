@@ -179,9 +179,7 @@ def cmd_bench(args) -> int:
             for scheme in bcm.SAMPLING_SCHEMES for seed in trial_seeds]
 
     for row in rows:
-        b = analysis.BoundInputs(d=Q.d, n=Q.n, f0=max(row["f0"], fstar), fstar=fstar,
-                                 eps=args.tol, c1=Q.c1(), c2=Q.c2())
-        row["k_bound"] = bcm.SAMPLING_SCHEMES[row["scheme"]](b)
+        row["k_bound"] = bcm.iteration_bound(Q, row["scheme"], row["f0"], fstar, args.tol)
         row["within_bound"] = (row["iters_to_eps"] is not None
                                and row["iters_to_eps"] <= row["k_bound"])
 
@@ -191,15 +189,14 @@ def cmd_bench(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
     worst_f0 = max(row["f0"] for row in rows)
-    b = analysis.BoundInputs(d=Q.d, n=Q.n, f0=max(worst_f0, fstar), fstar=fstar,
-                             eps=args.tol, c1=Q.c1(), c2=Q.c2())
     doc = {
         "instance": _instance_info(args.input, fmt, Q, offset),
         "eps": args.tol,
         "trials_per_scheme": args.trials,
         "fstar": fstar,
         "fstar_source": fstar_source,
-        **{f"k_{scheme}": bound(b) for scheme, bound in bcm.SAMPLING_SCHEMES.items()},
+        **{f"k_{scheme}": bcm.iteration_bound(Q, scheme, worst_f0, fstar, args.tol)
+           for scheme in bcm.SAMPLING_SCHEMES},
         "violations": sum(not row["within_bound"] for row in rows),
         "rows": rows if not args.output else str(args.output),
     }

@@ -60,11 +60,6 @@ def project_stiefel(M: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def random_stiefel(r: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random feasible block: Gaussian r x d matrix projected to the manifold."""
-    return project_stiefel(rng.standard_normal((r, d)))
-
-
 def block_minimize(G: np.ndarray, current: np.ndarray | None = None):
     """Minimize <G, Y> over r x d matrices with orthonormal columns.
 

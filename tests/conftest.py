@@ -1,5 +1,5 @@
 """Shared helpers: random instances, random feasible points, dense oracles,
-cache checks and gauge alignment.
+cache checks, gauge alignment and the dict front-end of the symmetrizer.
 
 The dense helpers are the independent reference path used throughout the
 suite: costs and gradients computed from the assembled dn x dn matrix with
@@ -9,8 +9,9 @@ helpers compare a point's incremental caches with a recomputation.
 
 import numpy as np
 
-from blocksdp import (BlockSparseSym, FactorPoint, compute_gcache, random_stiefel,
+from blocksdp import (BlockSparseSym, FactorPoint, compute_gcache, project_stiefel,
                       riemannian_grad_oracle)
+from blocksdp.blockmat import _stack_blocks, _symmetrize
 
 
 class StaleCacheError(RuntimeError):
@@ -28,6 +29,17 @@ def random_instance(rng, d, n, density=0.7, scale=1.0):
         i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
         blocks[(i, j)] = scale * rng.standard_normal((d, d))
     return BlockSparseSym(d, n, blocks)
+
+
+def random_stiefel(r, d, rng):
+    """Random feasible block: Gaussian r x d matrix projected to the manifold."""
+    return project_stiefel(rng.standard_normal((r, d)))
+
+
+def from_block_dict(d, n, raw):
+    """(Q, trace offset) of the blocks {(i, j): B} of a dn x dn matrix, 0-based,
+    keys in either orientation: the symmetrizer that reads Matrix Market files."""
+    return _symmetrize(d, n, *_stack_blocks(d, raw))
 
 
 def neighbors(Q, i):
@@ -125,7 +137,7 @@ def reference_solve(Q, config):
         if state.k >= max_iters:
             reason, final_gradsq = "max_iters", gradsq_here
             break
-        i_k = sample_block(state, config)
+        i_k = sample_block(state)
         if i_k is None:
             reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
             break

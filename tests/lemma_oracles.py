@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
+from conftest import random_stiefel
 
-from blocksdp import random_stiefel, sym_coupling
+from blocksdp import sym_coupling
 
 
 class LemmaViolation(AssertionError):

@@ -42,7 +42,7 @@ def test_c01_descent_identity_100k_steps():
         Qd = Q.to_dense()
         f_old = dense_cost(Qd, state.point.blocks)
         for _ in range(500):
-            pred, _ = bcm_step(state, Q, sample_block(state, cfg))
+            pred, _ = bcm_step(state, Q, sample_block(state))
             f_new = dense_cost(Qd, state.point.blocks)
             slack = 1e-9 * (1.0 + abs(f_old))
             assert abs((f_new - f_old) - pred) <= slack
@@ -68,7 +68,7 @@ def test_c02_gradient_identity_10k_points():
         for k in range(100):
             # the fresh random point first, then solver-visited points
             if k > 0:
-                bcm_step(state, Q, sample_block(state, cfg))
+                bcm_step(state, Q, sample_block(state))
             fast = grad_norm_sq_fast(state.point)
             oracle = riemannian_grad_oracle(state.point, Q)
             ref = float(np.sum(oracle * oracle))
@@ -181,7 +181,7 @@ def test_c07_cache_integrity_10k_steps():
     cfg = SolverConfig(rank=4, sampling="importance", seed=17)
     state = init_state(Q, cfg)
     for _ in range(10_000):
-        i = sample_block(state, cfg)
+        i = sample_block(state)
         untouched = {j: state.point.gcache[j].tobytes()
                      for j in range(Q.n) if j != i and j not in neighbors(Q, i)}
         bcm_step(state, Q, i)
@@ -190,7 +190,7 @@ def test_c07_cache_integrity_10k_steps():
     drift = gcache_residual(state.point, Q)
     assert drift <= 1e-8
     from blocksdp import nuclear_norm
-    nuc_drift = max(abs(state.nuclear_cache[i] - nuclear_norm(g))
+    nuc_drift = max(abs(state.weights[i] - nuclear_norm(g))
                     for i, g in enumerate(state.point.gcache))
     assert nuc_drift <= 1e-8
     print(f"ACCEPTANCE 7 PASS: 10000 steps without refresh, max coupling "
@@ -201,14 +201,14 @@ def test_c08_sampling_distributions():
     Q = triangle()
     cfg_u = SolverConfig(rank=2, sampling="uniform", seed=108)
     state = init_state(Q, cfg_u)
-    draws = np.bincount([sample_block(state, cfg_u) for _ in range(30_000)],
+    draws = np.bincount([sample_block(state) for _ in range(30_000)],
                         minlength=3) / 30_000
     assert np.abs(draws - 1.0 / 3.0).max() <= 0.02
 
     cfg_i = SolverConfig(rank=2, sampling="importance", seed=109)
     state = init_state(Q, cfg_i)
-    state.nuclear_cache = np.array([1.0, 1.0, 2.0])
-    freq = np.bincount([sample_block(state, cfg_i) for _ in range(30_000)],
+    state.weights = np.array([1.0, 1.0, 2.0])
+    freq = np.bincount([sample_block(state) for _ in range(30_000)],
                        minlength=3) / 30_000
     assert np.abs(freq - np.array([0.25, 0.25, 0.5])).max() <= 0.02
     print(f"ACCEPTANCE 8 PASS: uniform freq {np.round(draws, 4).tolist()}, "

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_instance, random_point, triangle
+from conftest import random_instance, random_point, random_stiefel, triangle
 from lemma_oracles import lemma_oracles
 from scipy import sparse
 
@@ -9,7 +9,7 @@ from blocksdp import (BlockSparseSym, BoundInputs, FactorPoint, SolverConfig,
                       build_certificate_matrix, certify_global, compute_gcache,
                       evaluate_cost, grad_norm_sq_fast,
                       iteration_bound_importance, iteration_bound_uniform,
-                      nuclear_norm, random_stiefel, riemannian_grad_oracle,
+                      nuclear_norm, riemannian_grad_oracle,
                       sdp_lift_check, solve, sym_coupling)
 from blocksdp.bcm import bcm_step, init_state, sample_block
 
@@ -342,7 +342,7 @@ def test_per_step_descent_lower_bound():
         cfg = SolverConfig(rank=int(rng.integers(d, 7)), seed=int(rng.integers(2 ** 32)))
         state = init_state(Q, cfg)
         for _ in range(100):
-            i = sample_block(state, cfg)
+            i = sample_block(state)
             G = state.point.gcache[i].copy()
             A = sym_coupling(state.point.blocks[i], G)
             nuc = nuclear_norm(G)
@@ -362,5 +362,5 @@ def test_coupling_nuclear_norm_bounded_by_d_c1():
         state = init_state(Q, cfg)
         cap = d * Q.c1() + 1e-9
         for _ in range(50):
-            bcm_step(state, Q, sample_block(state, cfg))
+            bcm_step(state, Q, sample_block(state))
             assert all(nuclear_norm(G) <= cap for G in state.point.gcache)

@@ -6,14 +6,14 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (dense_cost, gcache_residual, neighbors, random_instance, random_point,
-                      reference_solve, triangle)
+                      random_stiefel, reference_solve, triangle)
 
 from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig, bcm,
                       bcm_run, bcm_step, init_state, sample_block, solve)
 from blocksdp.bcm import max_available_descent
 from blocksdp.blockmat import nuclear_norm
 from blocksdp.problems import generate_maxcut, generate_rotsync, maxcut_to_Q, sync_to_Q
-from blocksdp.stiefel import block_minimize, random_stiefel
+from blocksdp.stiefel import block_minimize
 
 
 def make_state(Q, rank, seed, sampling="uniform"):
@@ -24,11 +24,11 @@ def test_uniform_sampling_frequencies_and_replay():
     Q = triangle()
     cfg = SolverConfig(rank=2, sampling="uniform", seed=123)
     state = init_state(Q, cfg)
-    draws = [sample_block(state, cfg) for _ in range(30000)]
+    draws = [sample_block(state) for _ in range(30000)]
     counts = np.bincount(draws, minlength=3) / len(draws)
     assert np.abs(counts - 1.0 / 3.0).max() <= 0.02
     state2 = init_state(Q, cfg)
-    draws2 = [sample_block(state2, cfg) for _ in range(30000)]
+    draws2 = [sample_block(state2) for _ in range(30000)]
     assert draws == draws2
 
 
@@ -37,11 +37,11 @@ def test_importance_sampling_distributions():
     cfg = SolverConfig(rank=2, sampling="importance", seed=7)
     state = init_state(Q, cfg)
 
-    state.nuclear_cache = np.array([0.0, 5.0, 0.0])
-    assert all(sample_block(state, cfg) == 1 for _ in range(100))
+    state.weights = np.array([0.0, 5.0, 0.0])
+    assert all(sample_block(state) == 1 for _ in range(100))
 
-    state.nuclear_cache = np.array([1.0, 1.0, 2.0])
-    draws = [sample_block(state, cfg) for _ in range(30000)]
+    state.weights = np.array([1.0, 1.0, 2.0])
+    draws = [sample_block(state) for _ in range(30000)]
     counts = np.bincount(draws, minlength=3) / len(draws)
     assert np.abs(counts - np.array([0.25, 0.25, 0.5])).max() <= 0.02
 
@@ -50,7 +50,7 @@ def test_importance_all_zero_signals_convergence():
     Q = BlockSparseSym(1, 3, {})
     cfg = SolverConfig(rank=2, sampling="importance", seed=0)
     state = init_state(Q, cfg)
-    assert sample_block(state, cfg) is None
+    assert sample_block(state) is None
     report = solve(Q, cfg)
     assert report.termination == "tolerance"
     assert report.iterations == 0
@@ -100,7 +100,7 @@ def test_descent_identity_against_scratch_recompute():
         state = init_state(Q, cfg)
         f_old = dense_cost(Qd, state.point.blocks)
         for _ in range(100):
-            i = sample_block(state, cfg)
+            i = sample_block(state)
             pred, _ = bcm_step(state, Q, i)
             f_new = dense_cost(Qd, state.point.blocks)
             slack = 1e-9 * (1.0 + abs(f_old))
@@ -115,7 +115,7 @@ def test_incremental_cache_stays_fresh_over_100_steps():
     cfg = SolverConfig(rank=4, seed=3)
     state = init_state(Q, cfg)
     for _ in range(100):
-        bcm_step(state, Q, sample_block(state, cfg))
+        bcm_step(state, Q, sample_block(state))
     assert gcache_residual(state.point, Q) <= 1e-8
 
 
@@ -125,7 +125,7 @@ def test_untouched_neighbors_bitwise_unchanged():
     cfg = SolverConfig(rank=3, seed=4)
     state = init_state(Q, cfg)
     for _ in range(200):
-        i = sample_block(state, cfg)
+        i = sample_block(state)
         snapshot = {j: state.point.gcache[j].tobytes()
                     for j in range(Q.n) if j != i and j not in neighbors(Q, i)}
         bcm_step(state, Q, i)
@@ -262,9 +262,9 @@ def cumsum_draw(weights, rng):
 def importance_state(n, weights, seed):
     cfg = SolverConfig(rank=1, sampling="importance", seed=0)
     state = init_state(BlockSparseSym(1, n, {}), cfg)
-    state.nuclear_cache = np.asarray(weights, dtype=float)
+    state.weights = np.asarray(weights, dtype=float)
     state.rng = np.random.default_rng(seed)
-    return state, cfg
+    return state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 70, 71, 5000])
@@ -281,14 +281,14 @@ def test_importance_draw_matches_cumsum_reference(n):
     last[(n - 1) // size * size:] = g.random(n - (n - 1) // size * size) + 0.5
     cases = [sparse, wide, single, last]
     for seed, weights in enumerate(cases):
-        state, cfg = importance_state(n, weights, seed)
+        state = importance_state(n, weights, seed)
         ref = np.random.default_rng(seed)
         for _ in range(3000):
-            k = sample_block(state, cfg)
+            k = sample_block(state)
             assert k == cumsum_draw(weights, ref)
             assert weights[k] > 0.0
-    state, cfg = importance_state(n, np.zeros(n), 0)
-    assert sample_block(state, cfg) is None
+    state = importance_state(n, np.zeros(n), 0)
+    assert sample_block(state) is None
 
 
 class TopDraw:
@@ -306,9 +306,9 @@ def test_importance_draw_at_the_chunk_edge_skips_zero_weights():
     weights = np.zeros(n)
     weights[:math.isqrt(n) - 1] = 1e-16
     weights[0] = 1.0
-    state, cfg = importance_state(n, weights, 0)
+    state = importance_state(n, weights, 0)
     state.rng = TopDraw()
-    assert sample_block(state, cfg) == 0
+    assert sample_block(state) == 0
 
 
 def per_block_start(Q, rank, seed):
@@ -576,7 +576,7 @@ def stolen_draw(j):
     """A fault: block j's coupling holds NaN and its weight dwarfs the others'."""
     def fault(state):
         state.point.gcache[j, 1, 0] = np.nan
-        state.nuclear_cache[j] = 1e300
+        state.weights[j] = 1e300
     return fault
 
 
@@ -610,34 +610,68 @@ def test_importance_solve_fails_like_one_step_per_iteration(faulty_start, fault,
     assert steps[0] == steps[1] and steps[0]  # failing at the same block
     got, want = faulty_start["states"]
     assert state_bytes(got) == state_bytes(want)  # the same updates applied before it
-    assert got.nuclear_cache.tobytes() == want.nuclear_cache.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e200])
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
 def test_step_weights_are_nuclear_norms_without_warnings(d, scale):
-    # Squared entries of the couplings underflow at 1e-170 and overflow at 1e200.
-    rng = np.random.default_rng(70 + d)
-    Q = random_instance(rng, d, 12, density=0.3, scale=scale)
+    # Squared entries of the couplings underflow at 1e-170.  At 1e200 they
+    # would overflow, and so does 4 C1 C2: such an instance is refused.
     config = SolverConfig(rank=d + 1, sampling="importance", seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        huge = random_instance(np.random.default_rng(70 + d), d, 12, density=0.3, scale=1e200)
+        with pytest.raises(ValueError, match="float range"):
+            init_state(huge, config)
+        Q = random_instance(np.random.default_rng(70 + d), d, 12, density=0.3, scale=scale)
         state = init_state(Q, config)
         for _ in range(200):
-            i = sample_block(state, config)
+            i = sample_block(state)
             G = state.point.gcache[i].copy()
             bcm_step(state, Q, i)
             nbr = neighbors(Q, i)
-            weights = state.nuclear_cache
+            weights = state.weights
             assert weights[nbr].tobytes() == nuclear_norm(state.point.gcache[nbr]).tobytes()
             assert weights[i] == -block_minimize(G)[1]
 
 
 def test_solve_on_weights_past_the_float_range_is_quiet():
-    # C1, C2 and the start's cost overflow: the cap is refused before a step,
-    # and neither the start's importance weights nor the refusal warn.
+    # C1, C2 and the start's cost overflow: the instance is refused before the
+    # start is drawn, with or without a cap, and the refusal does not warn.
     Q = BlockSparseSym(1, 3, {(0, 1): np.array([[1e308]]), (0, 2): np.array([[1e308]])})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="set an explicit cap"):
-            solve(Q, SolverConfig(rank=2, sampling="importance"))
+        for sampling in bcm.SAMPLING_SCHEMES:
+            for max_iters in (None, 10):
+                with pytest.raises(ValueError, match="float range"):
+                    solve(Q, SolverConfig(rank=2, sampling=sampling, max_iters=max_iters))
+
+
+def test_a_scheme_is_one_table_entry(monkeypatch):
+    # A third, unweighted scheme that steps the blocks in cyclic order: solve
+    # needs nothing but its entry.
+    def cyclic_runs(state, Q):
+        cap, i = (yield), 0
+        while True:
+            run = [(i + t) % Q.n for t in range(cap)]
+            i += cap
+            cap = yield run, [(state.point.cost, *bcm.bcm_step(state, Q, j)) for j in run]
+
+    entry = bcm.Scheme(cyclic_runs, weighted=False, bound=bcm.iteration_bound_uniform)
+    monkeypatch.setitem(bcm.SAMPLING_SCHEMES, "cyclic", entry)
+    rng = np.random.default_rng(80)
+    Q = random_instance(rng, 2, 9, density=0.4)
+    config = SolverConfig(rank=3, sampling="cyclic", seed=4, grad_tol=1e-30, max_iters=100,
+                          check_period=7, refresh_period=101)
+    report = solve(Q, config)
+    assert report.termination == "max_iters"
+    state = init_state(Q, config)
+    assert state.weights is None
+    steps = []
+    for k in range(config.max_iters):  # the hand loop
+        steps.append((k, state.point.cost, k % Q.n, *bcm_step(state, Q, k % Q.n)))
+    assert [(r.k, r.cost, r.block, r.pred_descent, r.meas_descent)
+            for r in report.records] == steps
+    assert report.point.blocks.tobytes() == state.point.blocks.tobytes()
+    assert report.final_cost == state.point.cost

@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import dense_cost, neighbors, random_instance, triangle
+from conftest import (dense_cost, from_block_dict, neighbors, random_instance, random_stiefel,
+                      triangle)
 
-from blocksdp import (BlockSparseSym, ParseError, SolverConfig, from_block_dict, nuclear_norm,
-                      random_stiefel, read_bsm, read_matrix_market, write_bsm)
+from blocksdp import (BlockSparseSym, ParseError, SolverConfig, nuclear_norm, read_bsm,
+                      read_matrix_market, write_bsm)
 from blocksdp.bcm import default_max_iters
 
 

@@ -1,16 +1,19 @@
+import csv
 import json
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import triangle
+from conftest import random_stiefel, triangle
 
 import blocksdp
-from blocksdp import BlockSparseSym, analysis, read_yfactor, write_bsm, write_yfactor
+from blocksdp import (BlockSparseSym, BoundInputs, analysis, iteration_bound_importance,
+                      iteration_bound_uniform, read_yfactor, write_bsm, write_yfactor)
 from blocksdp.cli import main
 
 
@@ -130,7 +133,6 @@ def test_verify_non_stationary_solution(tmp_path, capsys):
     inst = write_triangle(tmp_path)
     sol = tmp_path / "rand.yf"
     rng = np.random.default_rng(3)
-    from blocksdp import random_stiefel
     write_yfactor([random_stiefel(2, 1, rng) for _ in range(3)], sol)
     code, out, _ = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
     assert code == 1
@@ -141,7 +143,6 @@ def test_verify_dimension_mismatch(tmp_path, capsys):
     inst = write_triangle(tmp_path)
     sol = tmp_path / "wrong.yf"
     rng = np.random.default_rng(4)
-    from blocksdp import random_stiefel
     write_yfactor([random_stiefel(2, 1, rng) for _ in range(4)], sol)
     code, _, err = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
     assert code == 1
@@ -215,7 +216,7 @@ def test_edgelist_index_beyond_memory_is_an_error(tmp_path):
 
 
 @pytest.mark.parametrize("content,extra", [
-    ("BSM 1 3 2\n1 2 1e308\n1 3 1e308\n", []),      # C1, C2 and F0 overflow
+    ("BSM 1 3 2\n1 2 1e150\n1 3 1e150\n", ["--tol", "1e-10"]),  # admitted: 4 C1 C2 is finite
     ("BSM 1 3 2\n1 2 1.0\n2 3 1.0\n", ["--tol", "1e-320"]),
 ])
 def test_overflowing_iteration_bound_is_an_error(tmp_path, capsys, content, extra):
@@ -225,6 +226,20 @@ def test_overflowing_iteration_bound_is_an_error(tmp_path, capsys, content, extr
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "--max-iters" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--max-iters", "10"]])
+def test_block_norms_past_the_float_range_are_an_error(tmp_path, capsys, extra):
+    # C1, C2 and F0 overflow: refused with or without a cap, and without a warning.
+    inst = tmp_path / "q.bsm"
+    inst.write_text("BSM 1 3 2\n1 2 1e308\n1 3 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["solve", "--input", str(inst), "--rank", "2",
+                                      "--sampling", "importance", *extra])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err
 
 
 def test_generate_maxcut_deterministic(tmp_path, capsys):
@@ -273,6 +288,18 @@ def test_bench_triangle(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 2 * 3  # header + schemes x trials
     assert lines[0].startswith("scheme,seed,f0,")
+    # Every bound is the paper's, from the triangle's C1 = 2 and C2 = 6.
+    bounds = {"uniform": iteration_bound_uniform, "importance": iteration_bound_importance}
+
+    def by_hand(scheme, f0):
+        return bounds[scheme](BoundInputs(d=1, n=3, f0=max(f0, doc["fstar"]), fstar=doc["fstar"],
+                                          eps=1e-4, c1=2.0, c2=6.0))
+    rows = list(csv.DictReader(lines))
+    for row in rows:
+        assert int(row["k_bound"]) == by_hand(row["scheme"], float(row["f0"]))
+    worst_f0 = max(float(row["f0"]) for row in rows)
+    assert doc["k_uniform"] == by_hand("uniform", worst_f0)
+    assert doc["k_importance"] == by_hand("importance", worst_f0)
 
 
 def test_bench_solves_one_eigenproblem_per_fstar(tmp_path, capsys, monkeypatch):

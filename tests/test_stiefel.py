@@ -3,12 +3,12 @@ import re
 import numpy as np
 import pytest
 from conftest import (StaleCacheError, cost_from_cache, dense_cost, gcache_residual,
-                      random_instance, random_point, verified_grad_oracle)
+                      random_instance, random_point, random_stiefel, verified_grad_oracle)
 
 from blocksdp import (BlockSparseSym, FactorPoint, ParseError, block_minimize,
                       compute_gcache, evaluate_cost, feasibility_residual,
-                      is_orthonormal, nuclear_norm, project_stiefel, random_stiefel,
-                      read_yfactor, riemannian_grad_oracle, write_yfactor)
+                      is_orthonormal, nuclear_norm, project_stiefel, read_yfactor,
+                      riemannian_grad_oracle, write_yfactor)
 
 
 def test_project_identity_and_scalar():
