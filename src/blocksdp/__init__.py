@@ -6,11 +6,10 @@ identity diagnostics, iteration-count bounds for both sampling schemes, and
 a dual-certificate check for global optimality of the lifted solution.
 """
 
-from .analysis import (BoundInputs, CertificateReport, build_certificate_matrix,
-                       certify_global, grad_norm_sq_fast, iteration_bound_importance,
-                       iteration_bound_uniform, sdp_lift_check)
-from .bcm import (LogRecord, NumericalError, RunReport, SolverConfig,
-                  SolverState, bcm_run, bcm_step, init_state, sample_block, solve)
+from .analysis import (CertificateReport, build_certificate_matrix, certify_global,
+                       grad_norm_sq_fast, sdp_lift_check)
+from .bcm import (LogRecord, NumericalError, RunReport, SolverConfig, SolverState, bcm_run,
+                  bcm_step, init_state, iteration_bound, sample_block, solve)
 from .blockmat import (BlockSparseSym, ParseError, nuclear_norm, read_bsm,
                        read_matrix_market, write_bsm)
 from .problems import (EdgeListGraph, SyncInstance, generate_maxcut, generate_rotsync,

@@ -1,7 +1,7 @@
 """Diagnostics for the block-coordinate solver: the fast gradient-norm
-formula, iteration-count bounds for both sampling schemes, lift-level
-feasibility/objective checks, and a dual-certificate test for global
-optimality that also yields the dual lower bound on the SDP optimum.
+formula, lift-level feasibility/objective checks, and a dual-certificate
+test for global optimality that also yields the dual lower bound on the SDP
+optimum.  The iteration-count bound is bcm.iteration_bound.
 
 The certificate matrix S = Q - BlockDiag(A_1, ..., A_n) is assembled
 sparse, in Q's block-CSR layout, so it stores at most nnz(Q) + n d^2
@@ -45,54 +45,6 @@ def grad_norm_sq_fast(point: FactorPoint) -> float:
     if value < 0.0 and value >= -1e-12 * (1.0 + 4.0 * float(gsq.sum())):
         value = 0.0
     return value
-
-
-@dataclass
-class BoundInputs:
-    """Inputs to the iteration-count bounds.
-
-    fstar may be any valid lower bound on the rank-restricted optimum; a
-    looser bound only enlarges the returned K.
-    """
-
-    d: int
-    n: int
-    f0: float
-    fstar: float
-    eps: float
-    c1: float | None = None
-    c2: float | None = None
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"target eps must be positive, got {self.eps}")
-        if self.f0 < self.fstar:
-            raise ValueError(f"initial cost {self.f0} below lower bound {self.fstar}")
-
-
-def _iteration_bound(b: BoundInputs, scheme: str, const: str, scale) -> int:
-    """ceil(2 d scale C (F0 - F*) / eps) with C the bound input named const."""
-    c = getattr(b, const)
-    if c is None:
-        raise ValueError(f"{scheme} bound requires {const}")
-    gap = b.f0 - b.fstar
-    if gap == 0.0:
-        return 0
-    bound = 2.0 * b.d * scale * c * gap / b.eps
-    if not math.isfinite(bound):
-        raise ValueError(f"{scheme} iteration bound is {bound}; set an explicit cap "
-                         f"(--max-iters, SolverConfig.max_iters)")
-    return math.ceil(bound)
-
-
-def iteration_bound_uniform(b: BoundInputs) -> int:
-    """Iterations sufficient for uniform sampling: ceil(2 d n C1 (F0 - F*) / eps)."""
-    return _iteration_bound(b, "uniform", "c1", b.n)
-
-
-def iteration_bound_importance(b: BoundInputs) -> int:
-    """Iterations sufficient for importance sampling: ceil(2 d C2 (F0 - F*) / eps)."""
-    return _iteration_bound(b, "importance", "c2", 1.0)
 
 
 def sdp_lift_check(point: FactorPoint, Q: BlockSparseSym):

@@ -30,8 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import (BoundInputs, grad_norm_sq_fast, iteration_bound_importance,
-                       iteration_bound_uniform)
+from .analysis import grad_norm_sq_fast
 from .blockmat import BlockSparseSym, column_norms, nuclear_norm
 from .stiefel import (FactorPoint, block_minimize, check_coupling, minimize_nonzero,
                       project_stiefel)
@@ -78,10 +77,7 @@ class SolverConfig:
     def validate(self, Q: BlockSparseSym) -> None:
         if self.sampling not in SAMPLING_SCHEMES:
             raise ValueError(f"unknown sampling scheme {self.sampling!r}")
-        # At feasible points ||G_i||_F <= ||G_i||_* <= C1 and sum_i ||G_i||_F^2
-        # <= C1 C2, so the gradient norm, the weight sums and the cost stay finite.
-        if not math.isfinite(4.0 * Q.c1() * Q.c2()):
-            raise ValueError(f"block norms past the float range: C1 = {Q.c1()}, C2 = {Q.c2()}")
+        Q.check_float_range()
         if self.rank < Q.d:
             raise ValueError(f"rank {self.rank} smaller than block dimension {Q.d}")
         if self.grad_tol <= 0:
@@ -144,19 +140,17 @@ class RunReport:
                 if f.name not in ("point", "records")}
 
 
-def init_state(Q: BlockSparseSym, config: SolverConfig,
-               warm_start: FactorPoint | None = None) -> SolverState:
-    """Seeded state: random projected-Gaussian blocks unless warm-started."""
+def init_state(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> SolverState:
+    """Seeded state: random projected-Gaussian blocks unless warm-started from
+    r x d blocks (an (n, r, d) array or a sequence), which are copied."""
     config.validate(Q)
     rng = np.random.default_rng(config.seed)
     if warm_start is None:
-        blocks = project_stiefel(rng.standard_normal((Q.n, config.rank, Q.d)))
-        point = FactorPoint.from_blocks(blocks, Q)
-    else:
-        # from_blocks checks n and d against Q; only the rank is the config's.
-        if warm_start.r != config.rank:
-            raise ValueError(f"warm start has rank {warm_start.r}, config expects {config.rank}")
-        point = FactorPoint.from_blocks(warm_start.blocks, Q)
+        warm_start = project_stiefel(rng.standard_normal((Q.n, config.rank, Q.d)))
+    point = FactorPoint.from_blocks(warm_start, Q)
+    # from_blocks checks n and d against Q; only the rank is the config's.
+    if point.r != config.rank:
+        raise ValueError(f"warm start has rank {point.r}, config expects {config.rank}")
     weights = nuclear_norm(point.gcache) if SAMPLING_SCHEMES[config.sampling].weighted else None
     return SolverState(point=point, rng=rng, weights=weights)
 
@@ -287,7 +281,7 @@ def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> list:
                 count = p1 - p0
                 at = np.arange(count.sum()) + np.repeat(p0 - (count.cumsum() - count), count)
                 size = point.r * point.d  # one flat np.add.at (its fast form), in run order
-                flat = Q.mat.indices[at, None].astype(np.intp) * size + np.arange(size)
+                flat = Q.cols[at, None] * size + np.arange(size)
                 np.add.at(point.gcache.reshape(-1), flat.ravel(),
                           (np.repeat(Y_new - Y_old, count, axis=0) @ Q.mat.data[at]).ravel())
                 point.blocks[i] = Y_new
@@ -338,10 +332,11 @@ def _importance_runs(state: SolverState, Q: BlockSparseSym):
 
 # A sampling scheme: runs(state, Q), primed by next() and sent a cap, takes at most cap
 # steps and yields (run, steps) with (cost_before, pred, meas) per step (none: a zero
-# gradient); weighted keeps the draw weights ||G_i||_* in state.weights; bound(b) -> K.
-Scheme = namedtuple("Scheme", "runs weighted bound")
-SAMPLING_SCHEMES = {"uniform": Scheme(_uniform_runs, False, iteration_bound_uniform),
-                    "importance": Scheme(_importance_runs, True, iteration_bound_importance)}
+# gradient); weighted keeps the draw weights ||G_i||_* in state.weights; rate(Q) is the
+# constant of iteration_bound, multiplied left to right so that K keeps its last bit.
+Scheme = namedtuple("Scheme", "runs weighted rate")
+SAMPLING_SCHEMES = {"uniform": Scheme(_uniform_runs, False, lambda Q: 2.0 * Q.d * Q.n * Q.c1()),
+                    "importance": Scheme(_importance_runs, True, lambda Q: 2.0 * Q.d * Q.c2())}
 
 
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
@@ -359,21 +354,27 @@ def max_available_descent(point: FactorPoint) -> float:
 
 
 def iteration_bound(Q: BlockSparseSym, sampling: str, f0: float, fstar: float, eps: float) -> int:
-    """The scheme's worst-case iteration count to gradsq eps from cost f0 (fstar
-    when below) down to the lower bound fstar; ValueError past the float range."""
-    b = BoundInputs(d=Q.d, n=Q.n, f0=max(f0, fstar), fstar=fstar, eps=eps, c1=Q.c1(), c2=Q.c2())
-    return SAMPLING_SCHEMES[sampling].bound(b)
+    """Iterations sufficient for the scheme to reach squared gradient norm eps
+    from cost f0 (fstar when below): ceil(rate(Q) (F0 - F*) / eps).
+
+    fstar may be any lower bound on the rank-restricted optimum; a looser one
+    only enlarges K.  ValueError for eps <= 0 or a K past the float range.
+    """
+    if eps <= 0:
+        raise ValueError(f"target eps must be positive, got {eps}")
+    gap = max(f0, fstar) - fstar
+    if gap == 0.0:
+        return 0
+    bound = SAMPLING_SCHEMES[sampling].rate(Q) * gap / eps
+    if not math.isfinite(bound):
+        raise ValueError(f"{sampling} iteration bound is {bound}; set an explicit cap "
+                         f"(--max-iters, SolverConfig.max_iters)")
+    return math.ceil(bound)
 
 
-def default_max_iters(Q: BlockSparseSym, config: SolverConfig, f0: float) -> int:
-    """iteration_bound of the configured scheme with F* = -C2(Q)."""
-    return iteration_bound(Q, config.sampling, f0, -Q.c2(), config.grad_tol)
-
-
-def solve(Q: BlockSparseSym, config: SolverConfig,
-          warm_start: FactorPoint | None = None) -> RunReport:
-    """Run the block-coordinate loop until the gradient tolerance, the
-    iteration cap, or a stall.
+def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport:
+    """Run the block-coordinate loop from warm_start (see init_state) until
+    the gradient tolerance, the iteration cap, or a stall.
 
     The squared gradient norm is evaluated every check_period iterations
     (and at termination); caches and the tracked cost are rebuilt from
@@ -387,7 +388,8 @@ def solve(Q: BlockSparseSym, config: SolverConfig,
     f0 = point.cost
     check_period = config.check_period if config.check_period is not None else n
     refresh_period = config.refresh_period if config.refresh_period is not None else 10 * n
-    max_iters = config.max_iters if config.max_iters is not None else default_max_iters(Q, config, f0)
+    max_iters = (config.max_iters if config.max_iters is not None
+                 else iteration_bound(Q, config.sampling, f0, -Q.c2(), config.grad_tol))
     stall_window = STALL_WINDOW_FACTOR * n
 
     records: list[LogRecord] = []

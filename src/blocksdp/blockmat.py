@@ -27,6 +27,7 @@ reader's.  The readers hand index and block arrays to
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import partial
 from itertools import compress, repeat
@@ -317,6 +318,13 @@ class BlockSparseSym:
         """Sum of block nuclear norms over all ordered pairs i != j (inf past the range)."""
         with np.errstate(over="ignore"):
             return float(self._col_nuclear.sum())
+
+    def check_float_range(self) -> None:
+        """ValueError unless 4 C1 C2 is finite.  At feasible points ||G_i||_F <=
+        ||G_i||_* <= C1 and sum_i ||G_i||_F^2 <= C1 C2, so inside that range the
+        gradient norm, the importance weight sums and the cost stay finite."""
+        if not math.isfinite(4.0 * self.c1() * self.c2()):
+            raise ValueError(f"block norms past the float range: C1 = {self.c1()}, C2 = {self.c2()}")
 
 
 def _symmetrize(d: int, n: int, i, j, B):

@@ -68,10 +68,7 @@ def cmd_solve(args) -> int:
         refresh_period=args.refresh_period, seed=args.seed,
         log_every=args.log_every, return_best=args.return_best,
         stall_rtol=args.stall_rtol)
-    warm = None
-    if args.warm_start:
-        blocks = read_yfactor(args.warm_start)
-        warm = FactorPoint.from_blocks(blocks, Q)
+    warm = read_yfactor(args.warm_start) if args.warm_start else None
     report = bcm.solve(Q, config, warm_start=warm)
     if args.solution:
         write_yfactor(report.point.blocks, args.solution)
@@ -92,6 +89,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     Q, offset, fmt = _load_instance(args.input, args.format)
+    Q.check_float_range()
     blocks = read_yfactor(args.solution, reproject=False)
     n, r, d = blocks.shape
     if n != Q.n or d != Q.d:

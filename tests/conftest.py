@@ -106,14 +106,15 @@ def reference_solve(Q, config):
     the stall window tested between any two steps.  `bcm.solve` must give the
     same report and records (apart from wall_ns)."""
     from blocksdp.bcm import (STALL_WINDOW_FACTOR, LogRecord, RunReport, _refresh,
-                              bcm_step, default_max_iters, grad_norm_sq_fast, init_state,
+                              bcm_step, grad_norm_sq_fast, init_state, iteration_bound,
                               max_available_descent, sample_block)
     state = init_state(Q, config)
     point, n = state.point, Q.n
     f0 = point.cost
     check_period = config.check_period or n
     refresh_period = config.refresh_period or 10 * n
-    max_iters = config.max_iters or default_max_iters(Q, config, f0)
+    max_iters = config.max_iters or iteration_bound(Q, config.sampling, f0, -Q.c2(),
+                                                    config.grad_tol)
     records, best_gradsq, best_k, best_point, max_drift = [], float("inf"), -1, None, 0.0
     final_gradsq = None
     while True:

@@ -14,9 +14,8 @@ from conftest import (align_blocks, dense_cost, gcache_residual, neighbors, rand
                       triangle)
 from lemma_oracles import lemma_oracles
 
-from blocksdp import (BlockSparseSym, BoundInputs, SolverConfig, certify_global,
-                      generate_maxcut, generate_rotsync, grad_norm_sq_fast, ground_truth_blocks,
-                      iteration_bound_importance, iteration_bound_uniform,
+from blocksdp import (BlockSparseSym, SolverConfig, certify_global, generate_maxcut,
+                      generate_rotsync, grad_norm_sq_fast, ground_truth_blocks, iteration_bound,
                       maxcut_to_Q, riemannian_grad_oracle, solve, sync_to_Q)
 from blocksdp.bcm import bcm_step, init_state, sample_block
 
@@ -163,10 +162,7 @@ def test_c06_rate_bound_consistency():
                                    check_period=1, seed=seed, log_every=10 ** 9)
                 rep = solve(Q, cfg)
                 assert rep.termination == "tolerance", (name, scheme, seed)
-                b = BoundInputs(d=Q.d, n=Q.n, f0=max(rep.f0, fstar), fstar=fstar,
-                                eps=eps, c1=Q.c1(), c2=Q.c2())
-                bound = (iteration_bound_uniform(b) if scheme == "uniform"
-                         else iteration_bound_importance(b))
+                bound = iteration_bound(Q, scheme, rep.f0, fstar, eps)
                 assert rep.iterations <= bound, (name, scheme, seed,
                                                  rep.iterations, bound)
                 margins.append(rep.iterations / max(bound, 1))

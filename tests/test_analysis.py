@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_instance, random_point, random_stiefel, triangle
@@ -5,12 +7,11 @@ from lemma_oracles import lemma_oracles
 from scipy import sparse
 
 from blocksdp import analysis
-from blocksdp import (BlockSparseSym, BoundInputs, FactorPoint, SolverConfig,
-                      build_certificate_matrix, certify_global, compute_gcache,
-                      evaluate_cost, grad_norm_sq_fast,
-                      iteration_bound_importance, iteration_bound_uniform,
-                      nuclear_norm, riemannian_grad_oracle,
-                      sdp_lift_check, solve, sym_coupling)
+from blocksdp import (BlockSparseSym, FactorPoint, SolverConfig, build_certificate_matrix,
+                      certify_global, compute_gcache, evaluate_cost, generate_rotsync,
+                      grad_norm_sq_fast, iteration_bound, nuclear_norm,
+                      riemannian_grad_oracle, sdp_lift_check, solve, sym_coupling,
+                      sync_to_Q)
 from blocksdp.bcm import bcm_step, init_state, sample_block
 
 
@@ -81,16 +82,15 @@ def test_vectorized_sums_match_block_loops():
 
 
 def test_iteration_bound_values():
-    b = BoundInputs(d=1, n=3, f0=6.0, fstar=-3.0, eps=0.01, c1=2.0, c2=6.0)
-    assert iteration_bound_uniform(b) == 10800
-    assert iteration_bound_importance(b) == 10800
+    tri = triangle()  # d = 1, n = 3, C1 = 2, C2 = 6
+    assert iteration_bound(tri, "uniform", 6.0, -3.0, 0.01) == 10800
+    assert iteration_bound(tri, "importance", 6.0, -3.0, 0.01) == 10800
 
-    same = BoundInputs(d=2, n=4, f0=1.5, fstar=1.5, eps=0.1, c1=3.0, c2=5.0)
-    assert iteration_bound_uniform(same) == 0
-    assert iteration_bound_importance(same) == 0
+    Q = random_instance(np.random.default_rng(1), 2, 4, density=0.8)
+    assert iteration_bound(Q, "uniform", 1.5, 1.5, 0.1) == 0
+    assert iteration_bound(Q, "importance", 1.5, 1.5, 0.1) == 0
 
-    half = BoundInputs(d=1, n=3, f0=6.0, fstar=-3.0, eps=0.005, c1=2.0, c2=6.0)
-    assert iteration_bound_uniform(half) == 2 * 10800
+    assert iteration_bound(tri, "uniform", 6.0, -3.0, 0.005) == 2 * 10800
 
 
 def test_star_graph_importance_bound_smaller():
@@ -99,32 +99,49 @@ def test_star_graph_importance_bound_smaller():
     Q = BlockSparseSym(1, 4, {(0, 1): one, (0, 2): one, (0, 3): one})
     assert Q.c1() == pytest.approx(3.0)
     assert Q.c2() == pytest.approx(6.0)
-    b = BoundInputs(d=1, n=4, f0=1.0, fstar=0.0, eps=1.0, c1=Q.c1(), c2=Q.c2())
-    assert iteration_bound_uniform(b) == 24
-    assert iteration_bound_importance(b) == 12
+    assert iteration_bound(Q, "uniform", 1.0, 0.0, 1.0) == 24
+    assert iteration_bound(Q, "importance", 1.0, 0.0, 1.0) == 12
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_iteration_bound_d3_matches_the_formula(seed):
+    # C1 and C2 from the singular values of a rotation-sync instance's blocks:
+    # K = ceil(2 d n C1 gap / eps) uniform, ceil(2 d C2 gap / eps) importance.
+    Q = sync_to_Q(generate_rotsync(8, 3, 0.6, 0.3, seed))
+    nuc = {}
+    for i, j, B in Q.pairs():
+        s = np.linalg.svd(B, compute_uv=False).sum()
+        nuc[i], nuc[j] = nuc.get(i, 0.0) + s, nuc.get(j, 0.0) + s
+    c1, c2 = max(nuc.values()), sum(nuc.values())
+    assert Q.c1() == pytest.approx(c1, rel=1e-12) and Q.c2() == pytest.approx(c2, rel=1e-12)
+    f0, fstar, eps = 3.5, -c2, 1e-3
+    gap = f0 - fstar
+    # Constants a few ulps apart may move K by one.
+    assert abs(iteration_bound(Q, "uniform", f0, fstar, eps)
+               - math.ceil(2 * 3 * 8 * c1 * gap / eps)) <= 1
+    assert abs(iteration_bound(Q, "importance", f0, fstar, eps)
+               - math.ceil(2 * 3 * c2 * gap / eps)) <= 1
 
 
 def test_bound_validation():
-    with pytest.raises(ValueError):
-        BoundInputs(d=1, n=2, f0=0.0, fstar=0.0, eps=0.0, c1=1.0)
-    with pytest.raises(ValueError):
-        BoundInputs(d=1, n=2, f0=-1.0, fstar=0.0, eps=1.0, c1=1.0)
-    b = BoundInputs(d=1, n=2, f0=1.0, fstar=0.0, eps=1.0)
-    with pytest.raises(ValueError):
-        iteration_bound_uniform(b)
-    with pytest.raises(ValueError):
-        iteration_bound_importance(b)
+    tri = triangle()
+    for sampling in ("uniform", "importance"):
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                iteration_bound(tri, sampling, 0.0, 0.0, eps)
+        # f0 below fstar counts as fstar: no gap, no iterations.
+        assert iteration_bound(tri, sampling, -1.0, 0.0, 1.0) == 0
 
 
 @pytest.mark.parametrize("inputs", [
-    {"f0": 2e308, "c1": 2e308, "c2": 2e308, "eps": 1e-4},  # F0 - F* and C overflow
-    {"f0": 1.0, "c1": 1.0, "c2": 1.0, "eps": 1e-320},      # subnormal target
+    {"blocks": {(0, 1): 1e308, (0, 2): 1e308}, "f0": 2e308, "eps": 1e-4},  # F0 - F* and C overflow
+    {"blocks": {(0, 1): 1.0}, "f0": 1.0, "eps": 1e-320},                    # subnormal target
 ])
 def test_overflowing_iteration_bound_is_a_value_error(inputs):
-    b = BoundInputs(d=1, n=3, fstar=-inputs["c2"], **inputs)
-    for bound in (iteration_bound_uniform, iteration_bound_importance):
+    Q = BlockSparseSym(1, 3, {k: np.array([[w]]) for k, w in inputs["blocks"].items()})
+    for sampling in ("uniform", "importance"):
         with pytest.raises(ValueError, match="--max-iters"):
-            bound(b)
+            iteration_bound(Q, sampling, inputs["f0"], -Q.c2(), inputs["eps"])
 
 
 def test_sdp_lift_check_values():

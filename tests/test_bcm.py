@@ -8,8 +8,8 @@ import pytest
 from conftest import (dense_cost, gcache_residual, neighbors, random_instance, random_point,
                       random_stiefel, reference_solve, triangle)
 
-from blocksdp import (BlockSparseSym, FactorPoint, NumericalError, SolverConfig, bcm,
-                      bcm_run, bcm_step, init_state, sample_block, solve)
+from blocksdp import (BlockSparseSym, NumericalError, SolverConfig, bcm, bcm_run, bcm_step,
+                      init_state, sample_block, solve)
 from blocksdp.bcm import max_available_descent
 from blocksdp.blockmat import nuclear_norm
 from blocksdp.problems import generate_maxcut, generate_rotsync, maxcut_to_Q, sync_to_Q
@@ -62,7 +62,7 @@ def test_step_hand_example():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
     cfg = SolverConfig(rank=2, seed=0)
-    state = init_state(Q, cfg, warm_start=FactorPoint.from_blocks([e1, e2], Q))
+    state = init_state(Q, cfg, warm_start=[e1, e2])
     assert state.point.cost == pytest.approx(0.0)
 
     pred, meas = bcm_step(state, Q, 0)
@@ -190,10 +190,10 @@ def test_warm_start_checked_and_used():
     Q = triangle()
     rng = np.random.default_rng(14)
     warm = random_point(rng, Q, 2)
-    report = solve(Q, SolverConfig(rank=2, grad_tol=1e-10, seed=0), warm_start=warm)
+    report = solve(Q, SolverConfig(rank=2, grad_tol=1e-10, seed=0), warm_start=warm.blocks)
     assert report.f0 == pytest.approx(warm.cost)
     with pytest.raises(ValueError, match="warm start"):
-        solve(Q, SolverConfig(rank=3, seed=0), warm_start=warm)
+        solve(Q, SolverConfig(rank=3, seed=0), warm_start=warm.blocks)
 
 
 def test_return_best_keeps_best_gradient_iterate():
@@ -449,8 +449,7 @@ def cancelling_star():
     one = np.ones((1, 1))
     Q = BlockSparseSym(1, 5, {(0, 1): one, (0, 2): one, (1, 3): one, (3, 4): 2.0 * one})
     e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-    start = FactorPoint.from_blocks([e2, e1, -e1, e2, e1], Q)
-    state = init_state(Q, SolverConfig(rank=2, seed=0), warm_start=start)
+    state = init_state(Q, SolverConfig(rank=2, seed=0), warm_start=[e2, e1, -e1, e2, e1])
     assert not state.point.gcache[0].any()
     return Q, state
 
@@ -658,7 +657,7 @@ def test_a_scheme_is_one_table_entry(monkeypatch):
             i += cap
             cap = yield run, [(state.point.cost, *bcm.bcm_step(state, Q, j)) for j in run]
 
-    entry = bcm.Scheme(cyclic_runs, weighted=False, bound=bcm.iteration_bound_uniform)
+    entry = bcm.Scheme(cyclic_runs, weighted=False, rate=bcm.SAMPLING_SCHEMES["uniform"].rate)
     monkeypatch.setitem(bcm.SAMPLING_SCHEMES, "cyclic", entry)
     rng = np.random.default_rng(80)
     Q = random_instance(rng, 2, 9, density=0.4)

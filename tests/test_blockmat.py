@@ -9,7 +9,7 @@ from conftest import (dense_cost, from_block_dict, neighbors, random_instance, r
 
 from blocksdp import (BlockSparseSym, ParseError, SolverConfig, nuclear_norm, read_bsm,
                       read_matrix_market, write_bsm)
-from blocksdp.bcm import default_max_iters
+from blocksdp.bcm import iteration_bound
 
 
 def from_dense(Qraw, d):
@@ -177,7 +177,7 @@ def test_c1_c2_past_the_float_range_are_quietly_inf(d, blocks):
         Q = BlockSparseSym(d, 3, {k: np.array(B) for k, B in blocks.items()})
         assert math.isinf(Q.c1()) and math.isinf(Q.c2())
     with pytest.raises(ValueError, match="set an explicit cap"):
-        default_max_iters(Q, SolverConfig(rank=2), 0.0)
+        iteration_bound(Q, "uniform", 0.0, -Q.c2(), SolverConfig(rank=2).grad_tol)
 
 
 def test_nuclear_norm_values():

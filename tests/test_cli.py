@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import resource
 import subprocess
@@ -12,8 +13,7 @@ import pytest
 from conftest import random_stiefel, triangle
 
 import blocksdp
-from blocksdp import (BlockSparseSym, BoundInputs, analysis, iteration_bound_importance,
-                      iteration_bound_uniform, read_yfactor, write_bsm, write_yfactor)
+from blocksdp import BlockSparseSym, analysis, read_yfactor, write_bsm, write_yfactor
 from blocksdp.cli import main
 
 
@@ -242,6 +242,20 @@ def test_block_norms_past_the_float_range_are_an_error(tmp_path, capsys, extra):
     assert err.startswith("error:") and "float range" in err
 
 
+def test_verify_refuses_block_norms_past_the_float_range(tmp_path, capsys):
+    # The same instance with a feasible solution: verify refuses it before any
+    # coupling is formed, so no numpy warning precedes the one error line.
+    inst, sol = tmp_path / "q.bsm", tmp_path / "w.yf"
+    inst.write_text("BSM 1 3 2\n1 2 1e308\n1 3 1e308\n")
+    write_yfactor(np.array([[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]]]), sol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err and err.count("\n") == 1
+
+
 def test_generate_maxcut_deterministic(tmp_path, capsys):
     a = tmp_path / "a.bsm"
     b = tmp_path / "b.bsm"
@@ -288,12 +302,11 @@ def test_bench_triangle(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 2 * 3  # header + schemes x trials
     assert lines[0].startswith("scheme,seed,f0,")
-    # Every bound is the paper's, from the triangle's C1 = 2 and C2 = 6.
-    bounds = {"uniform": iteration_bound_uniform, "importance": iteration_bound_importance}
-
+    # Every bound is the paper's, from the triangle's d = 1, n = 3, C1 = 2 and C2 = 6:
+    # 2 d n C1 = 12 uniform, 2 d C2 = 12 importance.
     def by_hand(scheme, f0):
-        return bounds[scheme](BoundInputs(d=1, n=3, f0=max(f0, doc["fstar"]), fstar=doc["fstar"],
-                                          eps=1e-4, c1=2.0, c2=6.0))
+        rate = {"uniform": 2.0 * 1 * 3 * 2.0, "importance": 2.0 * 1 * 6.0}[scheme]
+        return math.ceil(rate * (max(f0, doc["fstar"]) - doc["fstar"]) / 1e-4)
     rows = list(csv.DictReader(lines))
     for row in rows:
         assert int(row["k_bound"]) == by_hand(row["scheme"], float(row["f0"]))
