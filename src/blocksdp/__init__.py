@@ -12,9 +12,8 @@ from .bcm import (LogRecord, NumericalError, RunReport, SolverConfig, SolverStat
                   bcm_step, init_state, iteration_bound, sample_block, solve)
 from .blockmat import (BlockSparseSym, ParseError, nuclear_norm, read_bsm,
                        read_matrix_market, write_bsm)
-from .problems import (EdgeListGraph, SyncInstance, generate_maxcut, generate_rotsync,
-                       ground_truth_blocks, maxcut_to_Q, read_edgelist, read_instance,
-                       sync_to_Q)
+from .problems import (SyncInstance, generate_maxcut, generate_rotsync, ground_truth_blocks,
+                       read_edgelist, read_instance, sync_to_Q)
 from .stiefel import (FactorPoint, block_minimize, compute_gcache, evaluate_cost,
                       feasibility_residual, is_orthonormal, project_stiefel,
                       read_yfactor, riemannian_grad_oracle, sym_coupling, write_yfactor)

@@ -258,47 +258,35 @@ class BlockSparseSym:
                 lambda k: ValueError(f"block key ({i[k]},{j[k]}) is not 0 <= i < j < n={n}"))
         _reject(~np.isfinite(B).all(axis=(1, 2)),
                 lambda k: ValueError(f"block ({i[k]},{j[k]}) has non-finite entries"))
-        keep = B.any(axis=(1, 2))
-        i, j, upper = i[keep].astype(np.intp), j[keep].astype(np.intp), B[keep]
+        i, j = i.astype(np.intp), j.astype(np.intp)
         rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
         order = np.lexsort((cols, rows))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        data = np.concatenate([upper, upper.transpose(0, 2, 1)])[order]
-        self.mat = bsr_matrix((data, cols[order], indptr), shape=(d * n, d * n),
+        r, c = rows[order], cols[order]  # a pair given twice sorts next to itself, i < j first
+        _reject((r[1:] == r[:-1]) & (c[1:] == c[:-1]),
+                lambda k: ValueError(f"duplicate block ({r[k]},{c[k]})"))
+        kept = np.tile(B.any(axis=(1, 2)), 2)[order]  # exact-zero blocks are dropped
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(r[kept], minlength=n))])
+        data = np.concatenate([B, B.transpose(0, 2, 1)])[order[kept]]
+        self.mat = bsr_matrix((data, c[kept], indptr), shape=(d * n, d * n),
                               blocksize=(d, d))
         # The block columns of mat as intp: numpy casts int32 indices at every use.
         self.cols = self.mat.indices.astype(np.intp, copy=False)
-        # Each pair adds its nuclear norm to both of its columns, in input order (inf past range).
+        # Each pair adds its nuclear norm (0.0 for a zero block) to both of its columns,
+        # in input order (inf past range).
         with np.errstate(over="ignore"):
             self._col_nuclear = np.bincount(np.stack([i, j], axis=1).ravel(),
-                                            weights=np.repeat(nuclear_norm(upper), 2), minlength=n)
+                                            weights=np.repeat(nuclear_norm(B), 2), minlength=n)
         self._c1 = float(self._col_nuclear.max())
 
     @property
     def num_blocks(self) -> int:
         return int(self.mat.indptr[-1]) // 2
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Return Q_[i,j], or zeros when the pair is not stored.
-
-        Returned arrays may alias internal storage and must not be written.
-        """
-        p0, p1 = self.mat.indptr[i], self.mat.indptr[i + 1]
-        p = p0 + int(np.searchsorted(self.mat.indices[p0:p1], j))
-        if p < p1 and self.mat.indices[p] == j:
-            return self.mat.data[p]
-        return np.zeros((self.d, self.d))
-
     def upper(self):
         """The stored pairs i < j in row order: index arrays i, j and blocks (m, d, d)."""
         rows = np.repeat(np.arange(self.n), np.diff(self.mat.indptr))
         up = self.mat.indices > rows
         return rows[up], self.mat.indices[up], self.mat.data[up]
-
-    def pairs(self):
-        """Iterate over (i, j, block) for the stored pairs i < j, in row order."""
-        i, j, B = self.upper()
-        return zip(i.tolist(), j.tolist(), B)
 
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()

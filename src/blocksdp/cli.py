@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -87,6 +88,26 @@ def cmd_solve(args) -> int:
     return SOLVE_EXIT[report.termination]
 
 
+def _check_solution_range(blocks, Q: BlockSparseSym) -> None:
+    """ValueError unless t and 4 C1 C2 t max(1, t)^2 are finite, t = max_i ||Y_i||_2^2.
+
+    Q.check_float_range's argument at any point: ||G_i||_F <= sqrt(t) C1 and
+    sum_i ||G_i||_F^2 <= t C1 C2; the map G -> G - Y_i sym(Y_i^T G) has norm at
+    most max(1, t), so the squared gradient norm stays below the bound, and the
+    cost (|F| <= t C2), Y_i^T Y_i, the couplings and the certificate matrix S
+    stay finite.  At a feasible point t = 1 and the rule is Q's own.  The
+    singular values come from LAPACK, which scales away overflow; the bound is
+    taken as 4 (C2 / C1) (C1 sqrt(t) max(1, t))^2, with 1 <= C2 / C1 <= n, so no
+    factor underflows, and Python floats go to inf past the range quietly.
+    """
+    s = float(np.linalg.svd(blocks, compute_uv=False).max())
+    m = max(1.0, s * s)
+    x = Q.c1() * s * m
+    ratio = Q.c2() / Q.c1() if Q.c1() else 0.0
+    if not math.isfinite(m + 4.0 * ratio * x * x):
+        raise ValueError(f"solution past the float range: max_i ||Y_i||_2 = {s}")
+
+
 def cmd_verify(args) -> int:
     Q, offset, fmt = _load_instance(args.input, args.format)
     Q.check_float_range()
@@ -95,6 +116,7 @@ def cmd_verify(args) -> int:
     if n != Q.n or d != Q.d:
         raise ValueError(
             f"solution is (r={r}, d={d}, n={n}), instance needs (d={Q.d}, n={Q.n})")
+    _check_solution_range(blocks, Q)
     # Diagnostics run on the file contents as-is; no silent re-projection.
     point = FactorPoint.from_blocks(blocks, Q, require_feasible=False)
     objective, resid = analysis.sdp_lift_check(point, Q)
@@ -114,12 +136,12 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.kind == "maxcut":
-        g = problems.generate_maxcut(args.n, args.edge_prob, args.seed,
+        Q = problems.generate_maxcut(args.n, args.edge_prob, args.seed,
                                      weighted=args.weighted)
-        Q = problems.maxcut_to_Q(g)
         write_bsm(Q, args.output)
-        info = {"kind": "maxcut", "n": g.n, "edges": len(g.edges),
-                "total_weight": g.total_weight, "output": str(args.output)}
+        _, _, B = Q.upper()  # the edges in generation order
+        info = {"kind": "maxcut", "n": Q.n, "edges": Q.num_blocks,
+                "total_weight": float(sum(B.ravel().tolist())), "output": str(args.output)}
     else:
         inst = problems.generate_rotsync(args.n, args.d, args.edge_prob,
                                          args.noise, args.seed)

@@ -1,11 +1,11 @@
 """Instance ingestion and synthetic generators.
 
 Two problem families exercise the solver end to end: Max-Cut style d=1
-instances built from weighted edge lists (Q_ij = w_ij, so the cut value of a
-sign vector x is W/2 - F(x)/4 with W the total edge weight), and rotation
-synchronization for d in {2, 3} with known ground truth, where each edge
-contributes -tr(R_ij Y_j^T Y_i) to the cost and the noiseless optimum is
--d * |E|.  Edge lists are read and written by blockmat's row helpers.
+instances, generated or read from weighted edge lists straight into a
+BlockSparseSym (Q_ij = w_ij, so the cut value of a sign vector x is W/2 - F(x)/4
+with W the total edge weight), and rotation synchronization for d in {2, 3}
+with known ground truth, where each edge contributes -tr(R_ij Y_j^T Y_i) to
+the cost and the noiseless optimum is -d * |E|.
 """
 
 from __future__ import annotations
@@ -17,45 +17,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .blockmat import (BlockSparseSym, ParseError, _int_array, _read_rows, _reject, _repeats,
-                       _write_rows, read_bsm, read_matrix_market)
+                       read_bsm, read_matrix_market)
 
 INSTANCE_FORMATS = ("bsm", "matrix-market", "edgelist")
 
 
-@dataclass
-class EdgeListGraph:
-    """Weighted undirected graph with 0-based vertices and i < j edges."""
-
-    n: int
-    edges: list  # (i, j, w)
-
-    def __post_init__(self):
-        i, j, w = zip(*self.edges) if self.edges else ((), (), ())
-        i, j = _int_array(i), _int_array(j)
-        _reject(~((0 <= i) & (i < j) & (j < self.n)), lambda k: ValueError(
-            f"edge ({i[k]},{j[k]}) violates 0 <= i < j < n={self.n}"))
-        _reject(_repeats(i, j), lambda k: ValueError(f"duplicate edge ({i[k]},{j[k]})"))
-        _reject(~np.isfinite(np.array(w, dtype=float)), lambda k: ValueError(
-            f"edge ({i[k]},{j[k]}) has non-finite weight {w[k]!r}"))
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
-
-def maxcut_to_Q(g: EdgeListGraph) -> BlockSparseSym:
-    """d=1 cost matrix with Q_ij = w_ij on edges and zero diagonal.
-
-    Minimizing tr(Q X) over the elliptope relaxes Max-Cut: for x in {-1,+1}^n,
-    cut(x) = W/2 - F(x)/4.
-    """
-    i, j, w = zip(*g.edges) if g.edges else ((), (), ())
-    return BlockSparseSym.from_arrays(1, g.n, _int_array(i), _int_array(j),
-                                      np.array(w, dtype=float).reshape(-1, 1, 1))
-
-
-def generate_maxcut(n: int, edge_prob: float, seed: int, weighted: bool = False) -> EdgeListGraph:
-    """Erdos-Renyi graph; unit weights, or uniform(0, 1) when weighted."""
+def generate_maxcut(n: int, edge_prob: float, seed: int, weighted: bool = False) -> BlockSparseSym:
+    """d=1 cost matrix Q_ij = w_ij of an Erdos-Renyi graph, unit weights or, when weighted,
+    uniform(0, 1) ones.  Minimizing tr(Q X) over the elliptope relaxes Max-Cut: for x in
+    {-1,+1}^n, cut(x) = W/2 - F(x)/4 with W the total edge weight."""
     if n < 2 or not (0.0 < edge_prob <= 1.0):
         raise ValueError(f"invalid generator parameters n={n}, edge_prob={edge_prob}")
     # One uniform draw per pair i < j in row order, each kept pair followed by its
@@ -85,8 +55,8 @@ def generate_maxcut(n: int, edge_prob: float, seed: int, weighted: bool = False)
     k = np.array(kept, dtype=np.int64)
     starts = np.cumsum(np.r_[0, np.arange(n - 1, 0, -1)])  # index of the pair (i, i + 1)
     i = np.searchsorted(starts, k, side="right") - 1
-    w = weights[:len(kept)] if weighted else [1.0] * len(kept)
-    return EdgeListGraph(n, list(zip(i.tolist(), (k - starts[i] + i + 1).tolist(), w)))
+    w = np.array(weights[:len(kept)]) if weighted else np.ones(len(kept))
+    return BlockSparseSym.from_arrays(1, n, i, k - starts[i] + i + 1, w.reshape(-1, 1, 1))
 
 
 def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,8 +159,8 @@ def ground_truth_blocks(inst: SyncInstance):
     return [R.T.copy() for R in inst.ground_truth]
 
 
-def read_edgelist(path) -> EdgeListGraph:
-    """Parse 'i j w' lines (1-based; '#' lines skipped); n is the largest index seen."""
+def read_edgelist(path) -> BlockSparseSym:
+    """d=1 Q_ij = w_ij of 'i j w' lines (1-based, '#' lines skipped); n is the largest index."""
     with open(path) as fh:
         lines = fh.readlines()
     at, (i, j), w = _read_rows(path, lines, 0, 2, 1, (
@@ -206,13 +176,7 @@ def read_edgelist(path) -> EdgeListGraph:
     _reject(_repeats(a, b), lambda k: ParseError(path, at[k], f"duplicate edge ({a[k]},{b[k]})"))
     if not len(a):
         raise ParseError(path, 1, "no edges, expected 'i j w' lines")
-    return EdgeListGraph(int(b.max()), list(zip((a - 1).tolist(), (b - 1).tolist(), w[:, 0].tolist())))
-
-
-def write_edgelist(g: EdgeListGraph, path) -> None:
-    """Write 'i j w' lines, 1-based, weights as floats (shortest round-trip repr)."""
-    i, j, w = zip(*g.edges) if g.edges else ((), (), ())
-    _write_rows(path, "", _int_array([i, j]).T + 1, np.array(w, dtype=float)[:, None])
+    return BlockSparseSym.from_arrays(1, int(b.max()), a - 1, b - 1, w.reshape(-1, 1, 1))
 
 
 def read_instance(path, fmt: str):
@@ -227,5 +191,5 @@ def read_instance(path, fmt: str):
     if fmt == "matrix-market":
         return read_matrix_market(path)
     if fmt == "edgelist":
-        return maxcut_to_Q(read_edgelist(path)), 0.0
+        return read_edgelist(path), 0.0
     raise ValueError(f"unknown instance format {fmt!r}; expected one of {INSTANCE_FORMATS}")

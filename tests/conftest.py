@@ -1,5 +1,6 @@
 """Shared helpers: random instances, random feasible points, dense oracles,
-cache checks, gauge alignment and the dict front-end of the symmetrizer.
+cache checks, gauge alignment, the dict front-end of the symmetrizer, block
+lookups and the edge-list writer.
 
 The dense helpers are the independent reference path used throughout the
 suite: costs and gradients computed from the assembled dn x dn matrix with
@@ -11,7 +12,7 @@ import numpy as np
 
 from blocksdp import (BlockSparseSym, FactorPoint, compute_gcache, project_stiefel,
                       riemannian_grad_oracle)
-from blocksdp.blockmat import _stack_blocks, _symmetrize
+from blocksdp.blockmat import _stack_blocks, _symmetrize, _write_rows
 
 
 class StaleCacheError(RuntimeError):
@@ -40,6 +41,34 @@ def from_block_dict(d, n, raw):
     """(Q, trace offset) of the blocks {(i, j): B} of a dn x dn matrix, 0-based,
     keys in either orientation: the symmetrizer that reads Matrix Market files."""
     return _symmetrize(d, n, *_stack_blocks(d, raw))
+
+
+def block(Q, i, j):
+    """Q_[i,j], zeros when the pair is not stored."""
+    d = Q.d
+    return Q.mat.tocsr()[d * i:d * (i + 1), d * j:d * (j + 1)].toarray()
+
+
+def pairs(Q):
+    """(i, j, block) for the stored pairs i < j, in row order."""
+    i, j, B = Q.upper()
+    return zip(i.tolist(), j.tolist(), B)
+
+
+def assert_same_matrix(a, b):
+    """a and b hold the same bytes: blocks, block columns, row pointers and column sums."""
+    assert (a.d, a.n) == (b.d, b.n)
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a.mat, name), getattr(b.mat, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert a.column_nuclear_sums().tobytes() == b.column_nuclear_sums().tobytes()
+
+
+def write_edgelist(Q, path):
+    """The pairs of a d=1 matrix as 'i j w' lines, 1-based, in row order; weights
+    in their shortest round-trip form."""
+    i, j, B = Q.upper()
+    _write_rows(path, "", np.stack([i, j], axis=1) + 1, B.reshape(-1, 1))
 
 
 def neighbors(Q, i):

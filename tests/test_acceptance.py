@@ -16,7 +16,7 @@ from lemma_oracles import lemma_oracles
 
 from blocksdp import (BlockSparseSym, SolverConfig, certify_global, generate_maxcut,
                       generate_rotsync, grad_norm_sq_fast, ground_truth_blocks, iteration_bound,
-                      maxcut_to_Q, riemannian_grad_oracle, solve, sync_to_Q)
+                      riemannian_grad_oracle, solve, sync_to_Q)
 from blocksdp.bcm import bcm_step, init_state, sample_block
 
 
@@ -148,7 +148,7 @@ def test_c06_rate_bound_consistency():
     instances = []
     tri = triangle()
     instances.append(("triangle", tri, 2))
-    Q10 = maxcut_to_Q(generate_maxcut(10, 0.5, seed=11, weighted=True))
+    Q10 = generate_maxcut(10, 0.5, seed=11, weighted=True)
     instances.append(("random-10", Q10, 4))
     checked = 0
     margins = []
@@ -215,7 +215,7 @@ def test_c09_small_instance_sdp_oracle():
     rng = np.random.default_rng(109)
     lines = []
     for n, seed in [(4, 1), (5, 2), (6, 3)]:
-        Q = maxcut_to_Q(generate_maxcut(n, 0.8, seed=seed, weighted=True))
+        Q = generate_maxcut(n, 0.8, seed=seed, weighted=True)
         Qd = Q.to_dense()
         r = n
         report = solve(Q, SolverConfig(rank=r, grad_tol=1e-18, seed=1,
@@ -251,7 +251,7 @@ def test_c09_small_instance_sdp_oracle():
 
 
 def test_c10_determinism():
-    Q = maxcut_to_Q(generate_maxcut(8, 0.6, seed=10, weighted=True))
+    Q = generate_maxcut(8, 0.6, seed=10, weighted=True)
     cfg = SolverConfig(rank=3, sampling="importance", grad_tol=1e-10, seed=77)
     a = solve(Q, cfg)
     b = solve(Q, cfg)

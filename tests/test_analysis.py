@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_instance, random_point, random_stiefel, triangle
+from conftest import pairs, random_instance, random_point, random_stiefel, triangle
 from lemma_oracles import lemma_oracles
 from scipy import sparse
 
@@ -71,7 +71,7 @@ def test_vectorized_sums_match_block_loops():
         assert grad_norm_sq_fast(point) == max(4.0 * total, 0.0)
         cost = 0.0
         gcache = np.zeros_like(point.gcache)
-        for i, j, B in Q.pairs():
+        for i, j, B in pairs(Q):
             cost += 2.0 * float(np.sum((point.blocks[j].T @ point.blocks[i]) * B.T))
             gcache[j] += point.blocks[i] @ B
             gcache[i] += point.blocks[j] @ B.T
@@ -109,7 +109,7 @@ def test_iteration_bound_d3_matches_the_formula(seed):
     # K = ceil(2 d n C1 gap / eps) uniform, ceil(2 d C2 gap / eps) importance.
     Q = sync_to_Q(generate_rotsync(8, 3, 0.6, 0.3, seed))
     nuc = {}
-    for i, j, B in Q.pairs():
+    for i, j, B in pairs(Q):
         s = np.linalg.svd(B, compute_uv=False).sum()
         nuc[i], nuc[j] = nuc.get(i, 0.0) + s, nuc.get(j, 0.0) + s
     c1, c2 = max(nuc.values()), sum(nuc.values())

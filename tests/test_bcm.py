@@ -12,7 +12,7 @@ from blocksdp import (BlockSparseSym, NumericalError, SolverConfig, bcm, bcm_run
                       init_state, sample_block, solve)
 from blocksdp.bcm import max_available_descent
 from blocksdp.blockmat import nuclear_norm
-from blocksdp.problems import generate_maxcut, generate_rotsync, maxcut_to_Q, sync_to_Q
+from blocksdp.problems import generate_maxcut, generate_rotsync, sync_to_Q
 from blocksdp.stiefel import block_minimize
 
 
@@ -346,9 +346,9 @@ REPLAY = {
 @pytest.mark.parametrize("problem,sampling", sorted(REPLAY))
 def test_replay_matches_recorded_trajectory(problem, sampling):
     if problem == "maxcut":
-        Q, rank, tol = maxcut_to_Q(generate_maxcut(30, 0.3, seed=7)), 3, 1e-6
+        Q, rank, tol = generate_maxcut(30, 0.3, seed=7), 3, 1e-6
     elif problem == "sparse-maxcut":
-        Q, rank, tol = maxcut_to_Q(generate_maxcut(2000, 0.003, seed=7)), 4, 8e3
+        Q, rank, tol = generate_maxcut(2000, 0.003, seed=7), 4, 8e3
     else:
         Q, rank, tol = sync_to_Q(generate_rotsync(25, 3, 0.3, 0.2, seed=7)), 5, 1e-8
     report = solve(Q, SolverConfig(rank=rank, sampling=sampling, grad_tol=tol, seed=3))

@@ -4,8 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import (dense_cost, from_block_dict, neighbors, random_instance, random_stiefel,
-                      triangle)
+from conftest import (assert_same_matrix, block, dense_cost, from_block_dict, neighbors, pairs,
+                      random_instance, random_stiefel, triangle)
 
 from blocksdp import (BlockSparseSym, ParseError, SolverConfig, nuclear_norm, read_bsm,
                       read_matrix_market, write_bsm)
@@ -29,7 +29,7 @@ def test_preprocess_zero_matrix():
 
 def test_preprocess_scalar_example():
     Q, offset = from_dense(np.array([[2.0, 3.0], [1.0, 4.0]]), 1)
-    assert Q.block(0, 1) == pytest.approx(2.0)
+    assert block(Q, 0, 1) == pytest.approx(2.0)
     assert offset == pytest.approx(6.0)
 
 
@@ -37,7 +37,7 @@ def test_preprocess_symmetric_with_identity_diagonal():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     raw = np.block([[np.eye(2), A], [A.T, np.eye(2)]])
     Q, offset = from_dense(raw, 2)
-    np.testing.assert_allclose(Q.block(0, 1), A)
+    np.testing.assert_allclose(block(Q, 0, 1), A)
     assert offset == pytest.approx(4.0)
 
 
@@ -66,13 +66,13 @@ def test_offset_identity_on_feasible_lifts():
 def test_block_query_is_transpose_symmetric():
     rng = np.random.default_rng(1)
     Q = random_instance(rng, 3, 5)
-    for i, j, B in Q.pairs():
-        np.testing.assert_array_equal(Q.block(j, i), B.T)
-        np.testing.assert_array_equal(Q.block(i, j), B)
+    for i, j, B in pairs(Q):
+        np.testing.assert_array_equal(block(Q, j, i), B.T)
+        np.testing.assert_array_equal(block(Q, i, j), B)
     dense = Q.to_dense()
     np.testing.assert_array_equal(dense, dense.T)
     assert 0 not in neighbors(Q, 0)
-    assert np.all(Q.block(2, 2) == 0.0)
+    assert np.all(block(Q, 2, 2) == 0.0)
 
 
 def test_construction_validation():
@@ -84,13 +84,6 @@ def test_construction_validation():
         BlockSparseSym(2, 3, {(0, 1): np.eye(3)})  # wrong shape
     with pytest.raises(ValueError):
         BlockSparseSym(2, 3, {(0, 1): np.full((2, 2), np.inf)})
-
-
-def assert_same_matrix(a, b):
-    for name in ("data", "indices", "indptr"):
-        x, y = getattr(a.mat, name), getattr(b.mat, name)
-        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
-    assert a.column_nuclear_sums().tobytes() == b.column_nuclear_sums().tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -129,6 +122,21 @@ def test_array_construction_raises_the_dict_construction_errors(blocks):
     with pytest.raises(ValueError) as from_arrays:
         BlockSparseSym.from_arrays(2, 3, i, j, np.array(list(blocks.values())))
     assert str(from_arrays.value) == str(from_dict.value)
+
+
+@pytest.mark.parametrize("i,j,B,pair", [
+    # Kept twice, a pair would make the solver's tracked cost drift from a fresh evaluation.
+    ([0, 0, 1], [1, 1, 2], [[[1.0]], [[2.0]], [[1.0]]], (0, 1)),
+    ([1, 0, 2, 0], [2, 1, 3, 1], np.ones((4, 1, 1)), (0, 1)),  # apart
+    ([1, 0, 1], [2, 2, 2], [[[0.0]], [[1.0]], [[0.0]]], (1, 2)),  # an exact zero too
+    ([0, 2, 2, 1, 1], [3, 3, 3, 2, 2], np.ones((5, 1, 1)), (1, 2)),  # the first in row order
+])
+def test_repeated_pair_raises(i, j, B, pair):
+    with pytest.raises(ValueError, match=re.escape(f"duplicate block ({pair[0]},{pair[1]})")):
+        BlockSparseSym.from_arrays(1, 4, np.array(i), np.array(j), np.array(B))
+    with pytest.raises(ValueError, match="duplicate block"):
+        BlockSparseSym.from_arrays(2, 4, np.array(i), np.array(j),
+                                   np.kron(np.array(B), np.ones((2, 2))))
 
 
 @pytest.mark.parametrize("d,n", [(1, 2 ** 63), (1, 99999999999999999999), (2 ** 64, 3)])
@@ -240,8 +248,8 @@ def test_bsm_roundtrip_sparse_and_dense(tmp_path):
         write_bsm(Q, path)
         back = read_bsm(path)
         assert (back.d, back.n, back.num_blocks) == (Q.d, Q.n, Q.num_blocks)
-        for i, j, B in Q.pairs():
-            np.testing.assert_array_equal(back.block(i, j), B)
+        for i, j, B in pairs(Q):
+            np.testing.assert_array_equal(block(back, i, j), B)
 
 
 DEEP = 1000  # index of the faulty row among 1200 data rows 'k k+1 1.5'
@@ -319,8 +327,8 @@ def test_matrix_market_general_and_symmetric(tmp_path):
         "2 3 2.0\n")
     Q, offset = read_matrix_market(general)
     assert offset == pytest.approx(5.0)
-    assert Q.block(0, 1) == pytest.approx(2.0)  # 0.5 * (3 + 1)
-    assert Q.block(1, 2) == pytest.approx(1.0)  # 0.5 * (2 + 0)
+    assert block(Q, 0, 1) == pytest.approx(2.0)  # 0.5 * (3 + 1)
+    assert block(Q, 1, 2) == pytest.approx(1.0)  # 0.5 * (2 + 0)
 
     sym = tmp_path / "s.mtx"
     sym.write_text(
@@ -332,7 +340,7 @@ def test_matrix_market_general_and_symmetric(tmp_path):
     Q, offset = read_matrix_market(sym)
     assert offset == 0.0
     for i, j in [(0, 1), (0, 2), (1, 2)]:
-        assert Q.block(i, j) == pytest.approx(1.0)
+        assert block(Q, i, j) == pytest.approx(1.0)
 
 
 def test_matrix_market_duplicate_entry(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -254,6 +255,49 @@ def test_verify_refuses_block_norms_past_the_float_range(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "float range" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("yfactor", [
+    "YFACTOR 2 1 3\n1\n0\n0\n1\n1\n0\n",
+    "YFACTOR 2 1 3\n2\n0\n0\n1\n1\n0\n",  # residual 2^2 - 1
+    "YFACTOR 2 1 3\n1e200\n0\n0\n1\n1\n0\n",  # past the float range
+], ids=["feasible", "infeasible", "past-range"])
+def test_verify_refuses_a_solution_past_the_float_range(tmp_path, capsys, yfactor):
+    # The instance passes Q's own check (4 C1 C2 = 3.2e301), so the solution's
+    # norm decides: ||Y_1||_2 = 1e200 would overflow the couplings' products.
+    inst, sol = tmp_path / "q.bsm", tmp_path / "y.yf"
+    inst.write_text("BSM 1 3 2\n1 2 1e150\n1 3 1e150\n")
+    sol.write_text(yfactor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
+    assert code == 1  # neither of the admitted solutions is certified
+    if "1e200" in yfactor:
+        assert out == ""
+        assert err == "error: solution past the float range: max_i ||Y_i||_2 = 1e+200\n"
+    else:
+        assert err == ""
+        assert json.loads(out)["feasibility_residual"] == (3.0 if "\n2\n" in yfactor else 0.0)
+
+
+# The generate maxcut report and file of two graphs: total_weight sums the
+# weights in generation order and prints as a float on the empty graph too.
+GENERATE_GOLDEN = [
+    (["--n", "12", "--edge-prob", "0.5", "--seed", "2", "--weighted"], 12, 35,
+     "16.735310840612375", "1f626ebe6323ed23ce8ee8f1b77670476009f240072806a974d483881118da9c"),
+    (["--n", "2", "--edge-prob", "0.01", "--seed", "1"], 2, 0, "0.0",
+     "aba15796268d83d38f15e81b0744330af1cd09bc7cc8141722fd5b738dae23e6"),
+]
+
+
+@pytest.mark.parametrize("args,n,edges,total,digest", GENERATE_GOLDEN)
+def test_generate_maxcut_golden(tmp_path, capsys, args, n, edges, total, digest):
+    out = tmp_path / "g.bsm"
+    code, text, _ = run(capsys, ["generate", "maxcut", *args, "--output", str(out)])
+    assert code == 0
+    assert text == (f'{{\n  "kind": "maxcut",\n  "n": {n},\n  "edges": {edges},\n'
+                    f'  "total_weight": {total},\n  "output": {json.dumps(str(out))}\n}}\n')
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_generate_maxcut_deterministic(tmp_path, capsys):

@@ -14,13 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import pairs, write_edgelist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from blocksdp import (BlockSparseSym, EdgeListGraph, ParseError, blockmat, read_bsm,
-                      read_edgelist, read_matrix_market, read_yfactor, write_bsm, write_yfactor)
-from blocksdp.problems import write_edgelist
+from blocksdp import (BlockSparseSym, ParseError, blockmat, read_bsm, read_edgelist,
+                      read_matrix_market, read_yfactor, write_bsm, write_yfactor)
 from blocksdp.stiefel import FEASIBILITY_TOL, feasibility_residual
 
 # Hypothesis caches the literals of local source files under its home
@@ -98,10 +98,11 @@ def test_edgelist_reader_parses_or_raises_parse_error(scratch, text):
     path = scratch / "fuzz.edges"
     path.write_text(text)
     try:
-        g = read_edgelist(path)
+        Q = read_edgelist(path)
     except ParseError:
         return
-    assert g.edges and all(np.isfinite(w) for _, _, w in g.edges)
+    finite_instance(Q)
+    assert Q.d == 1
 
 
 @PROPERTY
@@ -137,7 +138,7 @@ def instances(draw, max_d=3, values=finite):
 def assert_same_instance(a, b):
     assert (a.d, a.n, a.num_blocks) == (b.d, b.n, b.num_blocks)
     assert (a.c1(), a.c2()) == (b.c1(), b.c2())
-    for (i, j, A), (k, l, B) in zip(a.pairs(), b.pairs()):
+    for (i, j, A), (k, l, B) in zip(pairs(a), pairs(b)):
         assert (i, j) == (k, l)
         np.testing.assert_array_equal(A, B)
 
@@ -155,7 +156,7 @@ def test_bsm_roundtrip_is_exact(scratch, Q):
 def test_matrix_market_roundtrip_is_exact(scratch, Q, symmetric):
     # Each off-diagonal entry once (lower triangle, symmetric) or in both
     # orientations (general), so symmetrization returns it unchanged.
-    entries = [(j, i, float(B[0, 0])) for i, j, B in Q.pairs()]
+    entries = [(j, i, float(B[0, 0])) for i, j, B in pairs(Q)]
     if not symmetric:
         entries += [(i, j, v) for j, i, v in entries]
     lines = [f"%%MatrixMarket matrix coordinate real {'symmetric' if symmetric else 'general'}",
@@ -169,20 +170,24 @@ def test_matrix_market_roundtrip_is_exact(scratch, Q, symmetric):
 
 @st.composite
 def graphs(draw):
+    """A d=1 matrix of nonzero finite weights whose last vertex has an edge, as
+    an edge list's largest index gives n.  Its pairs come in row order, as
+    write_edgelist writes them, so the column sums add up in the same order."""
     n = draw(st.integers(2, 8))
     keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(keys), unique=True, min_size=1))
-    return EdgeListGraph(max(j for _, j in chosen) + 1, [(i, j, draw(finite)) for i, j in chosen])
+    chosen = sorted(draw(st.lists(st.sampled_from(keys), unique=True, min_size=1)))
+    weights = st.lists(finite.filter(bool), min_size=len(chosen), max_size=len(chosen))
+    i, j = np.array(chosen).T
+    return BlockSparseSym.from_arrays(1, int(j.max()) + 1, i, j,
+                                      np.array(draw(weights)).reshape(-1, 1, 1))
 
 
 @PROPERTY
-@given(g=graphs())
-def test_edgelist_roundtrip_is_exact(scratch, g):
+@given(Q=graphs())
+def test_edgelist_roundtrip_is_exact(scratch, Q):
     path = scratch / "rt.edges"
-    write_edgelist(g, path)
-    back = read_edgelist(path)
-    assert back.n == g.n
-    assert back.edges == g.edges
+    write_edgelist(Q, path)
+    assert outcome(read_edgelist, path) == outcome(lambda _: Q, path)
 
 
 @PROPERTY
@@ -229,8 +234,6 @@ def outcome(read, path):
     if isinstance(result, BlockSparseSym):
         return (result.d, result.n, *arrays_bytes(result.mat.data, result.mat.indices,
                                                   result.mat.indptr, result.column_nuclear_sums()))
-    if isinstance(result, EdgeListGraph):
-        return result.n, repr(result.edges)
     return arrays_bytes(result)
 
 

@@ -2,13 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import align_blocks, generate_maxcut_loop, triangle
+from conftest import (align_blocks, assert_same_matrix, generate_maxcut_loop, triangle,
+                      write_edgelist)
 
-from blocksdp import (EdgeListGraph, ParseError, SolverConfig,
-                      certify_global, evaluate_cost, generate_maxcut,
-                      generate_rotsync, ground_truth_blocks, maxcut_to_Q,
+from blocksdp import (BlockSparseSym, ParseError, SolverConfig, SyncInstance, certify_global,
+                      evaluate_cost, generate_maxcut, generate_rotsync, ground_truth_blocks,
                       read_edgelist, read_instance, solve, sync_to_Q, write_bsm)
-from blocksdp.problems import write_edgelist
 
 
 def brute_force_min_cost(Q):
@@ -22,36 +21,45 @@ def brute_force_min_cost(Q):
 
 
 def test_empty_graph_gives_empty_instance():
-    g = EdgeListGraph(3, [])
-    Q = maxcut_to_Q(g)
+    Q = generate_maxcut(3, 0.01, seed=1)
     assert Q.num_blocks == 0 and Q.n == 3 and Q.d == 1
 
 
 def test_triangle_graph_matches_reference_instance():
-    g = EdgeListGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    Q = maxcut_to_Q(g)
-    ref = triangle()
-    for i, j, B in ref.pairs():
-        np.testing.assert_array_equal(Q.block(i, j), B)
+    Q = generate_maxcut(3, 1.0, seed=0)  # the complete graph on 3 vertices
+    assert_same_matrix(Q, triangle())
     assert Q.c1() == pytest.approx(2.0) and Q.c2() == pytest.approx(6.0)
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError, match="duplicate"):
-        EdgeListGraph(3, [(0, 1, 1.0), (0, 1, 2.0)])
-    with pytest.raises(ValueError):
-        EdgeListGraph(3, [(1, 1, 1.0)])
-    with pytest.raises(ValueError):
-        EdgeListGraph(3, [(0, 3, 1.0)])
-    with pytest.raises(ValueError):
-        EdgeListGraph(3, [(0, 1, float("nan"))])
+    # The checks a graph's arrays meet on their way into Q, d = 1.
+    def edges(*pairs, weight=1.0):
+        i, j = np.array(pairs).reshape(-1, 2).T
+        return BlockSparseSym.from_arrays(1, 3, i, j, np.full((len(i), 1, 1), weight))
+
+    with pytest.raises(ValueError, match=r"duplicate block \(0,1\)"):
+        edges((0, 1), (0, 1))
+    for bad in [(1, 1), (1, 0), (0, 3), (-1, 2)]:
+        with pytest.raises(ValueError, match="is not 0 <= i < j < n=3"):
+            edges(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        edges((0, 1), weight=float("nan"))
+
+
+def test_sync_to_Q_refuses_a_repeated_edge():
+    inst = generate_rotsync(4, 2, 1.0, 0.0, seed=1)
+    inst.edges.append(inst.edges[2])
+    with pytest.raises(ValueError, match="duplicate block"):
+        sync_to_Q(inst)
+    again = SyncInstance(inst.n, inst.d, inst.edges[:-1], inst.ground_truth, inst.noise)
+    assert sync_to_Q(again).num_blocks == len(again.edges)
 
 
 def test_four_cycle_sdp_is_tight_at_rank_one():
     # bipartite cycle: alternating signs cut every edge; the SDP relaxation
     # attains the rank-one value, certified by the dual matrix
-    g = EdgeListGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
-    Q = maxcut_to_Q(g)
+    one = np.ones((1, 1))
+    Q = BlockSparseSym(1, 4, {(0, 1): one, (1, 2): one, (2, 3): one, (0, 3): one})
     brute = brute_force_min_cost(Q)
     assert brute == pytest.approx(-8.0)
     report = solve(Q, SolverConfig(rank=2, grad_tol=1e-18, seed=0))
@@ -62,12 +70,11 @@ def test_four_cycle_sdp_is_tight_at_rank_one():
 
 def test_maxcut_generator_deterministic():
     a = generate_maxcut(10, 0.5, seed=2)
-    b = generate_maxcut(10, 0.5, seed=2)
-    assert a.edges == b.edges
+    assert_same_matrix(a, generate_maxcut(10, 0.5, seed=2))
     c = generate_maxcut(10, 0.5, seed=3)
-    assert a.edges != c.edges
-    w = generate_maxcut(10, 0.5, seed=2, weighted=True)
-    assert all(0.0 < wt < 1.0 for _, _, wt in w.edges)
+    assert a.to_dense().tolist() != c.to_dense().tolist()
+    _, _, W = generate_maxcut(10, 0.5, seed=2, weighted=True).upper()
+    assert ((0.0 < W) & (W < 1.0)).all()
 
 
 def test_uniform_draws_in_blocks_equal_scalar_draws():
@@ -84,10 +91,11 @@ def test_uniform_draws_in_blocks_equal_scalar_draws():
 def test_maxcut_generator_matches_scalar_draw_loop(n, edge_prob, seed, weighted):
     # At n=300 and edge_prob near 1 a run of draws below edge_prob crosses the
     # first block of draws, so the pair/weight alternation must carry over.
-    edges = generate_maxcut(n, edge_prob, seed, weighted).edges
-    expected = generate_maxcut_loop(n, edge_prob, seed, weighted)
-    assert edges == expected
-    assert [tuple(map(type, e)) for e in edges] == [(int, int, float)] * len(expected)
+    Q = generate_maxcut(n, edge_prob, seed, weighted)
+    i, j, B = Q.upper()
+    assert list(zip(i.tolist(), j.tolist(), B.ravel().tolist())) == generate_maxcut_loop(
+        n, edge_prob, seed, weighted)
+    assert (Q.d, Q.n) == (1, n)
 
 
 def test_rotsync_generator_deterministic():
@@ -160,8 +168,7 @@ def test_read_instance_bsm_roundtrip(tmp_path):
     write_bsm(Q, path)
     back, offset = read_instance(path, "bsm")
     assert offset == 0.0
-    for i, j, B in Q.pairs():
-        np.testing.assert_array_equal(back.block(i, j), B)
+    assert_same_matrix(back, Q)
 
 
 def test_read_instance_edgelist(tmp_path):
@@ -169,18 +176,24 @@ def test_read_instance_edgelist(tmp_path):
     path.write_text("1 2 1.0\n2 3 1.0\n1 3 1.0\n")
     Q, offset = read_instance(path, "edgelist")
     assert offset == 0.0
-    ref = triangle()
-    for i, j, B in ref.pairs():
-        np.testing.assert_array_equal(Q.block(i, j), B)
+    assert_same_matrix(Q, triangle())
+
+
+def test_read_edgelist_skips_comments_and_blanks_and_orders_pairs(tmp_path):
+    # A reversed pair is the same edge; a zero weight adds no block, yet its
+    # index still counts towards n.
+    path = tmp_path / "g.edges"
+    path.write_text("# a comment\n\n3 1 0.5\n  \n1 2 -2.0\n2 4 0.0\n")
+    one = np.ones((1, 1))
+    assert_same_matrix(read_edgelist(path),
+                       BlockSparseSym(1, 4, {(0, 2): 0.5 * one, (0, 1): -2.0 * one}))
 
 
 def test_edgelist_roundtrip(tmp_path):
-    g = generate_maxcut(8, 0.5, seed=9, weighted=True)
+    Q = generate_maxcut(8, 0.5, seed=9, weighted=True)
     path = tmp_path / "g.edges"
-    write_edgelist(g, path)
-    back = read_edgelist(path)
-    assert back.n == g.n
-    assert back.edges == g.edges
+    write_edgelist(Q, path)
+    assert_same_matrix(read_edgelist(path), Q)
 
 
 def deep_edges(fault):
@@ -217,12 +230,13 @@ def test_edgelist_parse_errors(tmp_path, content, lineno, pattern):
 
 
 def test_write_edgelist_golden_text(tmp_path):
-    # A numpy weight is written as a plain float, so the file reads back.
-    g = EdgeListGraph(4, [(0, 1, 0.1 + 0.2), (1, 3, np.float64(2.0)), (0, 3, 1e-05)])
+    # The weights of Q, numpy floats, are written as plain floats, so the file reads back.
+    one = np.ones((1, 1))
+    Q = BlockSparseSym(1, 4, {(0, 1): (0.1 + 0.2) * one, (1, 3): 2.0 * one, (0, 3): 1e-05 * one})
     path = tmp_path / "g.edges"
-    write_edgelist(g, path)
-    assert path.read_text() == "1 2 0.30000000000000004\n2 4 2.0\n1 4 1e-05\n"
-    assert read_edgelist(path).edges == [(0, 1, 0.1 + 0.2), (1, 3, 2.0), (0, 3, 1e-05)]
+    write_edgelist(Q, path)
+    assert path.read_text() == "1 2 0.30000000000000004\n1 4 1e-05\n2 4 2.0\n"
+    assert_same_matrix(read_edgelist(path), Q)
 
 
 def test_read_instance_unknown_format(tmp_path):
@@ -235,8 +249,7 @@ def test_maxcut_bound_direction():
     # sign-vector cost (n small enough to enumerate)
     rng = np.random.default_rng(10)
     for seed in range(3):
-        g = generate_maxcut(8, 0.6, seed=seed, weighted=True)
-        Q = maxcut_to_Q(g)
+        Q = generate_maxcut(8, 0.6, seed=seed, weighted=True)
         brute = brute_force_min_cost(Q)
         report = solve(Q, SolverConfig(rank=4, grad_tol=1e-18, seed=seed))
         cert = certify_global(report.point, Q)
