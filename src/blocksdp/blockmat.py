@@ -21,8 +21,11 @@ format is read by `_read_rows` and written by `_write_rows`, with the checks
 on whole arrays; a malformed file raises ParseError naming a faulty line.
 `_read_rows` converts the data lines in one np.loadtxt pass and leaves any
 doubt to a row reader, so the accepted inputs and the messages are the row
-reader's.  The readers hand index and block arrays to
-`BlockSparseSym.from_arrays`, the one construction path.
+reader's; it finds the blank and comment lines only when that pass cannot
+take every line as a row.  The readers hand index and block arrays to
+`BlockSparseSym.from_arrays`, the one construction path, which sorts the
+pairs once, by the int64 key i * n + j (hence n <= _N_MAX); a reader looks
+for the line of a repeated pair only after construction has found one.
 """
 
 from __future__ import annotations
@@ -92,8 +95,13 @@ def _read_rows(path, lines, first: int, n_int: int, n_float: int, messages, comm
 
     The rows are converted in one C-level pass (`_load_table`); the row reader
     `_convert_rows` takes over whenever that pass has any doubt, so it alone accepts
-    what only int() and float() read and names a faulty line."""
+    what only int() and float() read and names a faulty line.  The pass first takes
+    every line; only when it cannot read each line as one row (a blank line, a
+    comment line, whose first field never converts, or a doubt) are those lines
+    found and skipped, and the pass made again."""
     body = lines[first:]
+    if (table := _load_table(body, n_int, n_float)) is not None:  # no blank, no comment line
+        return (first + 1 + np.arange(len(body)), *table)
     heads = list(map(str.lstrip, body))
     data = np.fromiter(map(bool, heads), bool, len(heads))
     if comment:
@@ -215,6 +223,8 @@ def _stack_blocks(d: int, blocks: dict):
 
 # The largest d or n: block indices are numpy intp.
 _INTP_MAX = int(np.iinfo(np.intp).max)
+# The largest n: construction sorts pairs by the int64 key i * n + j <= n^2 - 1.
+_N_MAX = math.isqrt(2 ** 63 - 1)
 
 
 def _check_dimensions(d: int, n: int) -> None:
@@ -222,6 +232,8 @@ def _check_dimensions(d: int, n: int) -> None:
         raise ValueError(f"invalid dimensions d={d}, n={n}")
     if max(d, n) > _INTP_MAX:
         raise ValueError(f"dimensions d={d}, n={n} exceed the index range {_INTP_MAX}")
+    if n > _N_MAX:
+        raise ValueError(f"n={n} exceeds the sort-key bound {_N_MAX}")
 
 
 class BlockSparseSym:
@@ -260,7 +272,7 @@ class BlockSparseSym:
                 lambda k: ValueError(f"block ({i[k]},{j[k]}) has non-finite entries"))
         i, j = i.astype(np.intp), j.astype(np.intp)
         rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows.astype(np.int64, copy=False) * n + cols)  # n <= _N_MAX
         r, c = rows[order], cols[order]  # a pair given twice sorts next to itself, i < j first
         _reject((r[1:] == r[:-1]) & (c[1:] == c[:-1]),
                 lambda k: ValueError(f"duplicate block ({r[k]},{c[k]})"))
@@ -272,10 +284,9 @@ class BlockSparseSym:
         # The block columns of mat as intp: numpy casts int32 indices at every use.
         self.cols = self.mat.indices.astype(np.intp, copy=False)
         # Each pair adds its nuclear norm (0.0 for a zero block) to both of its columns,
-        # in input order (inf past range).
+        # in row order whatever the input order (inf past range).
         with np.errstate(over="ignore"):
-            self._col_nuclear = np.bincount(np.stack([i, j], axis=1).ravel(),
-                                            weights=np.repeat(nuclear_norm(B), 2), minlength=n)
+            self._col_nuclear = np.bincount(c, np.tile(nuclear_norm(B), 2)[order], minlength=n)
         self._c1 = float(self._col_nuclear.max())
 
     @property
@@ -356,15 +367,21 @@ def read_bsm(path) -> BlockSparseSym:
         raise ParseError(path, 1, f"header needs d >= 1 and n >= 1, got d={d}, n={n}")
     if max(d, n) > _INTP_MAX:
         raise ParseError(path, 1, f"header d={d}, n={n} exceeds the index range {_INTP_MAX}")
+    if n > _N_MAX:
+        raise ParseError(path, 1, f"header n={n} exceeds the sort-key bound {_N_MAX}")
     at, (i, j), X = _read_rows(path, lines, 1, 2, d * d, (
         f"expected 2 indices + {d * d} block entries, got {{got}} fields",
         "non-numeric field in {line!r}", "non-finite entries in block ({ints[0]},{ints[1]})"))
     _reject(~((1 <= i) & (i < j) & (j <= n)), lambda k: ParseError(
         path, at[k], f"indices ({i[k]},{j[k]}) violate 1 <= i < j <= n={n}"))
-    _reject(_repeats(i, j), lambda k: ParseError(path, at[k], f"duplicate block ({i[k]},{j[k]})"))
+    try:
+        Q = BlockSparseSym.from_arrays(d, n, i - 1, j - 1, X.reshape(-1, d, d))
+    except ValueError:  # a pair given twice: name its later line
+        _reject(_repeats(i, j), lambda k: ParseError(path, at[k], f"duplicate block ({i[k]},{j[k]})"))
+        raise
     if len(i) != m:
         raise ParseError(path, len(lines), f"header declares {m} blocks, file has {len(i)}")
-    return BlockSparseSym.from_arrays(d, n, i - 1, j - 1, X.reshape(-1, d, d))
+    return Q
 
 
 def read_matrix_market(path):

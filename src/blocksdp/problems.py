@@ -16,8 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .blockmat import (BlockSparseSym, ParseError, _int_array, _read_rows, _reject, _repeats,
-                       read_bsm, read_matrix_market)
+from .blockmat import (_N_MAX, BlockSparseSym, ParseError, _int_array, _read_rows, _reject,
+                       _repeats, read_bsm, read_matrix_market)
 
 INSTANCE_FORMATS = ("bsm", "matrix-market", "edgelist")
 
@@ -173,10 +173,16 @@ def read_edgelist(path) -> BlockSparseSym:
     _reject((i > top) | (j > top),
             lambda k: ParseError(path, at[k], f"indices must fit in int64, got ({i[k]},{j[k]})"))
     a, b = np.minimum(i, j), np.maximum(i, j)
-    _reject(_repeats(a, b), lambda k: ParseError(path, at[k], f"duplicate edge ({a[k]},{b[k]})"))
     if not len(a):
         raise ParseError(path, 1, "no edges, expected 'i j w' lines")
-    return BlockSparseSym.from_arrays(1, int(b.max()), a - 1, b - 1, w.reshape(-1, 1, 1))
+    last = int(b.argmax())  # the line that sets n, checked before n sizes any array
+    if b[last] > _N_MAX:
+        raise ParseError(path, at[last], f"index {b[last]} exceeds the sort-key bound {_N_MAX}")
+    try:
+        return BlockSparseSym.from_arrays(1, int(b[last]), a - 1, b - 1, w.reshape(-1, 1, 1))
+    except ValueError:  # a pair given twice: name its later line
+        _reject(_repeats(a, b), lambda k: ParseError(path, at[k], f"duplicate edge ({a[k]},{b[k]})"))
+        raise
 
 
 def read_instance(path, fmt: str):

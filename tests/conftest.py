@@ -1,6 +1,7 @@
 """Shared helpers: random instances, random feasible points, dense oracles,
 cache checks, gauge alignment, the dict front-end of the symmetrizer, block
-lookups and the edge-list writer.
+lookups, the lexsort construction oracle, a guard against construction and the
+edge-list writer.
 
 The dense helpers are the independent reference path used throughout the
 suite: costs and gradients computed from the assembled dn x dn matrix with
@@ -9,6 +10,7 @@ helpers compare a point's incremental caches with a recomputation.
 """
 
 import numpy as np
+import pytest
 
 from blocksdp import (BlockSparseSym, FactorPoint, compute_gcache, project_stiefel,
                       riemannian_grad_oracle)
@@ -62,6 +64,27 @@ def assert_same_matrix(a, b):
         x, y = getattr(a.mat, name), getattr(b.mat, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
     assert a.column_nuclear_sums().tobytes() == b.column_nuclear_sums().tobytes()
+
+
+def lexsort_arrays(n, i, j, B):
+    """Block-CSR arrays (data, indices, indptr) of the blocks B[k] at the distinct
+    pairs (i[k], j[k]), i < j, and their transposes, exact zeros dropped, sorted by
+    np.lexsort on (row, column): the reference for BlockSparseSym's construction."""
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    kept = np.tile(B.any(axis=(1, 2)), 2)[order]
+    data = np.concatenate([B, B.transpose(0, 2, 1)])[order][kept]
+    counts = np.bincount(rows[order][kept], minlength=n)
+    return data, cols[order][kept], np.concatenate([[0], np.cumsum(counts)])
+
+
+@pytest.fixture
+def no_construction(monkeypatch):
+    """Fail a test that reaches BlockSparseSym construction: past the sort-key bound
+    on n, construction would allocate arrays of n entries, tens of gigabytes."""
+    def refuse(*args):
+        pytest.fail("construction reached past the sort-key bound on n")
+    monkeypatch.setattr(BlockSparseSym, "_build", refuse)
 
 
 def write_edgelist(Q, path):

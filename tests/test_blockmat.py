@@ -1,14 +1,17 @@
+import hashlib
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from conftest import (assert_same_matrix, block, dense_cost, from_block_dict, neighbors, pairs,
-                      random_instance, random_stiefel, triangle)
+from conftest import (assert_same_matrix, block, dense_cost, from_block_dict, lexsort_arrays,
+                      neighbors, pairs, random_instance, random_stiefel, triangle,
+                      write_edgelist)
 
-from blocksdp import (BlockSparseSym, ParseError, SolverConfig, nuclear_norm, read_bsm,
-                      read_matrix_market, write_bsm)
+from blocksdp import (BlockSparseSym, ParseError, SolverConfig, blockmat, generate_maxcut,
+                      nuclear_norm, problems, read_bsm, read_edgelist, read_matrix_market,
+                      write_bsm)
 from blocksdp.bcm import iteration_bound
 
 
@@ -148,6 +151,112 @@ def test_dimensions_past_the_index_range_raise(d, n):
         BlockSparseSym(d, n, {})
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_construction_equals_the_lexsort_oracle(d):
+    # Construction sorts the pairs by the one integer key i * n + j; for distinct
+    # pairs that is the permutation of a lexsort on (i, j).
+    rng = np.random.default_rng(40 + d)
+    for n in (2, 3, 17, 60, 200):
+        upper_i, upper_j = np.triu_indices(n, 1)
+        for _ in range(5):
+            pick = rng.permutation(len(upper_i))[:rng.integers(1, min(len(upper_i), 800) + 1)]
+            i, j = upper_i[pick], upper_j[pick]  # shuffled, not in row order
+            B = rng.standard_normal((len(i), d, d))
+            B[rng.random(len(i)) < 0.1] = 0.0  # exact zeros are dropped
+            Q = BlockSparseSym.from_arrays(d, n, i, j, B)
+            for got, want in zip((Q.mat.data, Q.mat.indices, Q.mat.indptr),
+                                 lexsort_arrays(n, i, j, B)):
+                want = want.astype(got.dtype)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_column_sums_do_not_depend_on_the_input_order(d):
+    # Each column adds its block norms in row order, so the same pairs given in any
+    # order give the same column sums, C1 and C2, to the last bit.
+    rng = np.random.default_rng(50 + d)
+    keys = list(zip(*np.triu_indices(12, 1)))
+    for _ in range(100):
+        items = [((int(a), int(b)), rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4))
+                 for a, b in (keys[k] for k in rng.choice(len(keys), size=15, replace=False))]
+        Q = BlockSparseSym(d, 12, dict(sorted(items, key=lambda item: item[0])))
+        shuffled = BlockSparseSym(d, 12, dict(items[k] for k in rng.permutation(len(items))))
+        assert_same_matrix(shuffled, Q)
+        assert (shuffled.c1(), shuffled.c2()) == (Q.c1(), Q.c2())
+
+
+def test_sort_key_bound_on_n(no_construction):
+    # The largest key, (n - 1) * n + n - 1 = n^2 - 1, fits in int64 up to the bound.
+    top = blockmat._N_MAX
+    assert top ** 2 - 1 <= np.iinfo(np.int64).max < (top + 1) ** 2 - 1
+    blockmat._check_dimensions(1, top)
+    with pytest.raises(ValueError, match=re.escape(f"n={top + 1} exceeds the sort-key bound {top}")):
+        BlockSparseSym.from_arrays(1, top + 1, np.array([0]), np.array([1]), np.ones((1, 1, 1)))
+    with pytest.raises(ValueError, match="sort-key bound"):
+        BlockSparseSym(2, top + 1, {})
+
+
+def test_bsm_header_past_the_sort_key_bound_is_a_parse_error(tmp_path, no_construction):
+    path = tmp_path / "big.bsm"
+    path.write_text("BSM 1 3037000500 1\n1 2 1.0\n")
+    with pytest.raises(ParseError) as err:
+        read_bsm(path)
+    assert str(err.value) == f"{path}:1: header n=3037000500 exceeds the sort-key bound 3037000499"
+
+
+@pytest.mark.parametrize("kind", ["bsm", "bsm-blank-lines", "edges-comment"])
+def test_valid_files_are_read_with_one_sort(tmp_path, monkeypatch, kind):
+    # The duplicate search and its lexsort run only once construction finds a repeat.
+    calls = []
+
+    def counted(name, f):
+        return lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs)
+
+    monkeypatch.setattr(blockmat, "_repeats", counted("_repeats", blockmat._repeats))
+    monkeypatch.setattr(problems, "_repeats", counted("_repeats", problems._repeats))
+    monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
+    rng = np.random.default_rng(9)
+    Q = random_instance(rng, 1 if kind == "edges-comment" else 2, 30, density=0.3)
+    path = tmp_path / "q.txt"
+    if kind == "edges-comment":
+        write_edgelist(Q, path)
+        path.write_text("# a comment\n" + path.read_text())
+        back = read_edgelist(path)
+    else:
+        write_bsm(Q, path)
+        if kind == "bsm-blank-lines":
+            path.write_text(path.read_text().replace("\n", "\n\n"))
+        back = read_bsm(path)
+    assert_same_matrix(back, Q)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows,lineno,pair", [
+    (["1 2 1.0", "", "1 2 2.0"], 4, "1,2"),  # a blank line before the repeat
+    (["1 3 1.0", "1 2 1.0", "2 3 1.0", "1 3 -1.0"], 5, "1,3"),
+    (["2 3 1.0", "", "1 2 1.0", "  ", "2 3 0.0"], 6, "2,3"),  # an exact zero too
+])
+def test_bsm_repeated_block_names_its_later_line(tmp_path, rows, lineno, pair):
+    path = tmp_path / "dup.bsm"
+    path.write_text("\n".join([f"BSM 1 3 {sum(map(bool, map(str.strip, rows)))}", *rows]) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_bsm(path)
+    assert str(err.value) == f"{path}:{lineno}: duplicate block ({pair})"
+
+
+def test_read_bsm_golden_digest(tmp_path):
+    # The arrays, column sums, C1 and C2 of a written and re-read weighted Max-Cut
+    # instance, pinned byte for byte.
+    path = tmp_path / "g.bsm"
+    write_bsm(generate_maxcut(2000, 0.005, 1, weighted=True), path)
+    Q = read_bsm(path)
+    digest = hashlib.sha256()
+    for a in (Q.mat.data, Q.mat.indices, Q.mat.indptr, Q.cols, Q.column_nuclear_sums()):
+        digest.update(a.tobytes())
+    digest.update(repr((Q.c1(), Q.c2())).encode())
+    assert digest.hexdigest() == "79c22705365b08846686f72334d5d12c267ca114fd8fa9a84dbf6b86cde1b450"
+
+
 def test_zero_blocks_dropped_by_symmetrization():
     A = np.array([[0.0, 1.0], [2.0, 0.0]])
     raw = {(0, 1): A, (1, 0): -A.T}  # symmetric part cancels exactly
@@ -223,7 +332,8 @@ def test_d1_column_sums_equal_svd_sums():
         Q = BlockSparseSym(1, 500, {(a, b): np.array([[w]])
                                     for a, b, w in zip(i.tolist(), j.tolist(), weights)})
         svd = np.linalg.svd(weights[:, None, None], compute_uv=False)[:, 0]
-        ref = np.bincount(np.stack([i, j], axis=1).ravel(), weights=np.repeat(svd, 2),
+        rows = np.lexsort((j, i))  # the columns add their norms in row order
+        ref = np.bincount(np.stack([i, j], axis=1)[rows].ravel(), weights=np.repeat(svd[rows], 2),
                           minlength=500)
         assert Q.c1() == float(ref.max()) and Q.c2() == float(ref.sum())
 

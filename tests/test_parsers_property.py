@@ -172,7 +172,7 @@ def test_matrix_market_roundtrip_is_exact(scratch, Q, symmetric):
 def graphs(draw):
     """A d=1 matrix of nonzero finite weights whose last vertex has an edge, as
     an edge list's largest index gives n.  Its pairs come in row order, as
-    write_edgelist writes them, so the column sums add up in the same order."""
+    write_edgelist writes them."""
     n = draw(st.integers(2, 8))
     keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = sorted(draw(st.lists(st.sampled_from(keys), unique=True, min_size=1)))

@@ -208,6 +208,11 @@ def deep_edges(fault):
     ("1 2\n", 1, "expected"),
     ("1 2 1.0\n2 2 1.0\n", 2, "self-loop"),
     ("1 2 1.0\n2 1 2.0\n", 2, "duplicate"),
+    # A repeated pair, in either orientation, is named at its later line.
+    ("1 2 1.0\n2 3 1.0\n1 2 2.0\n", 3, r": duplicate edge \(1,2\)$"),
+    ("2 1 1.0\n2 3 1.0\n1 2 2.0\n", 3, r": duplicate edge \(1,2\)$"),
+    ("1 3 1.0\n# c\n\n3 1 2.0\n", 4, r": duplicate edge \(1,3\)$"),
+    ("3 2 1.0\n2 3 0.0\n", 2, r": duplicate edge \(2,3\)$"),
     ("1 2 x\n", 1, "non-numeric"),
     ("0 2 1.0\n", 1, ">= 1"),
     ("1 2 1.0\n1 99999999999999999999 1.0\n", 2, "fit in int64"),
@@ -227,6 +232,19 @@ def test_edgelist_parse_errors(tmp_path, content, lineno, pattern):
     with pytest.raises(ParseError, match=pattern) as err:
         read_edgelist(path)
     assert f":{lineno}:" in str(err.value)
+
+
+@pytest.mark.parametrize("content,lineno,index", [
+    ("1 2 1.0\n1 3037000500 1.0\n2 3 1.0\n", 2, 3037000500),
+    ("3037000501 1 1.0\n# c\n3037000500 2 1.0\n", 1, 3037000501),  # the largest index
+])
+def test_edgelist_index_past_the_sort_key_bound_is_a_parse_error(tmp_path, no_construction,
+                                                                  content, lineno, index):
+    path = tmp_path / "big.edges"
+    path.write_text(content)
+    with pytest.raises(ParseError) as err:
+        read_edgelist(path)
+    assert str(err.value) == f"{path}:{lineno}: index {index} exceeds the sort-key bound 3037000499"
 
 
 def test_write_edgelist_golden_text(tmp_path):
