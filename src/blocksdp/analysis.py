@@ -5,8 +5,9 @@ optimum.  The iteration-count bound is bcm.iteration_bound.
 
 The certificate matrix S = Q - BlockDiag(A_1, ..., A_n) is assembled
 sparse, in Q's block-CSR layout, so it stores at most nnz(Q) + n d^2
-entries; its smallest eigenvalue comes from a dense solve up to
-DENSE_EIG_CUTOFF rows and from eigsh on S itself (fixed start vector) above.
+entries.  Up to DENSE_EIG_CUTOFF rows, S is scattered from its blocks into
+a dense array and LAPACK's subset driver computes its smallest eigenvalue
+alone; above, eigsh runs on S itself (fixed start vector).
 certify_global is the one place that derives quantities from freshly
 recomputed couplings: the stationarity residual, the gradient norm, the
 smallest eigenvalue and the lower bound all come from one S and one
@@ -19,6 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -89,10 +91,28 @@ def build_certificate_matrix(point: FactorPoint, Q: BlockSparseSym) -> bsr_matri
     return Q.mat - bsr_matrix((A, np.arange(n), np.arange(n + 1)), shape=Q.mat.shape)
 
 
+def _dense(S: bsr_matrix) -> np.ndarray:
+    """S as a dense array: one scatter of its blocks (scipy's subtraction in
+    build_certificate_matrix stores each block once) into zeros."""
+    d = S.blocksize[0]
+    n = S.shape[0] // d
+    out = np.zeros((n, d, n, d))
+    out[np.repeat(np.arange(n), np.diff(S.indptr)), :, S.indices, :] = S.data
+    return out.reshape(S.shape)
+
+
 def _smallest_eigenvalue(S: bsr_matrix):
-    """Algebraically smallest eigenvalue; returns (value, converged)."""
+    """Algebraically smallest eigenvalue; returns (value, converged).
+
+    Up to DENSE_EIG_CUTOFF rows, LAPACK's subset driver computes it alone
+    from the dense S scattered by _dense, and a non-finite S gives
+    (nan, False); above, eigsh runs on the sparse S.
+    """
     if S.shape[0] <= DENSE_EIG_CUTOFF:
-        return float(np.linalg.eigvalsh(S.toarray())[0]), True
+        if not np.isfinite(S.data).all():
+            return float("nan"), False
+        vals = eigh(_dense(S), eigvals_only=True, subset_by_index=[0, 0], check_finite=False)
+        return float(vals[0]), True
     v0 = np.random.default_rng(0).standard_normal(S.shape[0])  # the same value on every call
     try:
         vals = eigsh(S, k=1, which="SA", v0=v0, return_eigenvectors=False)

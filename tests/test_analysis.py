@@ -234,6 +234,42 @@ def test_certificate_matrix_matches_dense_reference():
     np.testing.assert_allclose(S, ref, atol=1e-12)
 
 
+def dense_branch_cases():
+    """(name, Q, point) parameters: random points for d = 1, 2, 3, the
+    rank-one saddle of the triangle (lambda_min = -3, a double eigenvalue)
+    and a d = 2 instance whose vertex 4 is isolated, so that block row 4 of
+    S is empty."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for d in (1, 2, 3):
+        Q = random_instance(rng, d, 7)
+        cases.append((f"random-d{d}", Q, random_point(rng, Q, d + 1)))
+    tri = triangle()
+    cases.append(("triangle", tri, FactorPoint.from_blocks([np.array([[1.0]])] * 3, tri)))
+    Q = BlockSparseSym(2, 5, {(i, j): rng.standard_normal((2, 2))
+                              for i, j in ((0, 1), (0, 3), (1, 2), (2, 3))})
+    cases.append(("isolated-vertex", Q, random_point(rng, Q, 3)))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, Q, point", dense_branch_cases())
+def test_dense_branch_matches_the_full_spectrum(name, Q, point):
+    # The dense branch scatters S into exactly S.toarray() and finds the
+    # smallest eigenvalue of the full spectrum.
+    S = build_certificate_matrix(point, Q)
+    assert S.shape[0] <= analysis.DENSE_EIG_CUTOFF
+    reference = S.toarray()
+    assert analysis._dense(S).tobytes() == reference.tobytes()
+    lam, converged = analysis._smallest_eigenvalue(S)
+    assert converged
+    full = np.linalg.eigvalsh(reference)
+    assert abs(lam - full[0]) <= 1e-12 * (1.0 + np.linalg.norm(reference))
+    if name == "triangle":
+        np.testing.assert_allclose(full[:2], [-3.0, -3.0], atol=1e-12)
+    if name == "isolated-vertex":
+        assert np.diff(S.indptr)[4] == 0
+
+
 def test_certificate_matrix_stays_sparse():
     rng = np.random.default_rng(9)
     for d, n, density in ((1, 40, 0.1), (2, 30, 0.2), (3, 12, 0.5)):
@@ -318,11 +354,20 @@ def test_lower_bound_falls_back_to_c2(monkeypatch):
     rng = np.random.default_rng(13)
     Q = random_instance(rng, 2, 6)
     point = random_point(rng, Q, 3)
+    # A NaN block (only an unchecked point can carry one) makes S non-finite:
+    # the dense branch reports no eigenvalue instead of raising.
+    blocks = point.blocks.copy()
+    blocks[2, 0, 0] = np.nan
+    nan_point = FactorPoint.from_blocks(blocks, Q, require_feasible=False)
+    assert Q.n * Q.d <= analysis.DENSE_EIG_CUTOFF
+    assert analysis._smallest_eigenvalue(build_certificate_matrix(nan_point, Q))[1] is False
+    certs = [certify_global(nan_point, Q)]
     monkeypatch.setattr(analysis, "_smallest_eigenvalue", lambda S: (float("nan"), False))
-    cert = certify_global(point, Q)
-    assert cert.lower_bound == -Q.c2()
-    assert np.isnan(cert.lambda_min)
-    assert cert.verdict != "certified-global"
+    certs.append(certify_global(point, Q))
+    for cert in certs:
+        assert cert.lower_bound == -Q.c2()
+        assert np.isnan(cert.lambda_min)
+        assert cert.verdict != "certified-global"
 
 
 def test_lemma_oracles_clean_run_and_trivial_cases():
