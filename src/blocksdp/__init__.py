@@ -8,8 +8,8 @@ a dual-certificate check for global optimality of the lifted solution.
 
 from .analysis import (CertificateReport, build_certificate_matrix, certify_global,
                        grad_norm_sq_fast, sdp_lift_check)
-from .bcm import (LogRecord, NumericalError, RunReport, SolverConfig, SolverState, bcm_run,
-                  bcm_step, init_state, iteration_bound, sample_block, solve)
+from .bcm import (LogRecord, NumericalError, RunLog, RunReport, SolverConfig, SolverState,
+                  bcm_run, bcm_step, init_state, iteration_bound, sample_block, solve)
 from .blockmat import (BlockSparseSym, ParseError, nuclear_norm, read_bsm,
                        read_matrix_market, write_bsm)
 from .problems import (SyncInstance, generate_maxcut, generate_rotsync, ground_truth_blocks,

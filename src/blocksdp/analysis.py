@@ -104,13 +104,13 @@ def _dense(S: bsr_matrix) -> np.ndarray:
 def _smallest_eigenvalue(S: bsr_matrix):
     """Algebraically smallest eigenvalue; returns (value, converged).
 
-    Up to DENSE_EIG_CUTOFF rows, LAPACK's subset driver computes it alone
-    from the dense S scattered by _dense, and a non-finite S gives
-    (nan, False); above, eigsh runs on the sparse S.
+    A non-finite S gives (nan, False).  Up to DENSE_EIG_CUTOFF rows, LAPACK's
+    subset driver computes it alone from the dense S scattered by _dense;
+    above, eigsh runs on the sparse S.
     """
+    if not np.isfinite(S.data).all():
+        return float("nan"), False
     if S.shape[0] <= DENSE_EIG_CUTOFF:
-        if not np.isfinite(S.data).all():
-            return float("nan"), False
         vals = eigh(_dense(S), eigvals_only=True, subset_by_index=[0, 0], check_finite=False)
         return float(vals[0]), True
     v0 = np.random.default_rng(0).standard_normal(S.shape[0])  # the same value on every call

@@ -17,7 +17,9 @@ between two checks in one call of the scheme's run generator: uniform
 indices are cut into runs of distinct, non-adjacent, hence commuting, steps
 that bcm_run applies bit-identically to one bcm_step per index (short runs
 take bcm_step); importance steps, each drawn from the weights the one before
-left, take sample_block and bcm_step in turn.
+left, take sample_block and bcm_step in turn.  The iteration log, a RunLog,
+holds the logged steps in typed columns, 48 bytes a step, and builds each
+LogRecord when it is read.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from __future__ import annotations
 import functools
 import math
 import time
+from array import array
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -112,10 +117,64 @@ class LogRecord:
     wall_ns: int
 
     def to_dict(self) -> dict:
-        # A literal: vars(self) would materialize a __dict__ on every kept record.
+        # A literal: a RunLog builds a record on every read, and vars(self) would
+        # materialize a __dict__ on each.
         return {"k": self.k, "cost": self.cost, "block": self.block,
                 "pred_descent": self.pred_descent, "meas_descent": self.meas_descent,
                 "grad_norm_sq": self.grad_norm_sq, "wall_ns": self.wall_ns}
+
+
+class RunLog(Sequence):
+    """The iteration log of a solve: a read-only sequence of LogRecord.
+
+    The steps are held in typed columns, k, block and wall_ns as int64 and
+    cost, pred_descent and meas_descent as float64, 48 bytes a step; the
+    squared gradient norms sit in a dict keyed by row, for the rows that
+    carry one.  Indexing, slicing (a list) and iteration build the records.
+    """
+
+    __slots__ = ("_k", "_cost", "_block", "_pred", "_meas", "_gradsq", "_wall_ns")
+
+    def __init__(self):
+        self._k, self._block, self._wall_ns = array("q"), array("q"), array("q")
+        self._cost, self._pred, self._meas = array("d"), array("d"), array("d")
+        self._gradsq = {}
+
+    def __len__(self) -> int:
+        return len(self._k)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(len(self))[index]]
+        j = range(len(self))[index]  # a negative index counts from the end
+        return LogRecord(self._k[j], self._cost[j], self._block[j], self._pred[j],
+                         self._meas[j], self._gradsq.get(j), self._wall_ns[j])
+
+    def __iter__(self):
+        return map(LogRecord, self._k, self._cost, self._block, self._pred, self._meas,
+                   map(self._gradsq.get, range(len(self))), self._wall_ns)
+
+    def _add_run(self, k: int, run: list, steps: list, gradsq, wall: int, every: int) -> None:
+        """Log the steps k, k + 1, ... of a run, (cost_before, pred, meas) each,
+        whose index is a multiple of every: all of them share wall, and the
+        first, step k, carries gradsq, the squared gradient norm checked
+        before the run (None if unchecked)."""
+        if every > 1:
+            first = -k % every
+            run, steps, k = run[first::every], steps[first::every], k + first
+            if not run:
+                return
+            if first:
+                gradsq = None
+        if gradsq is not None:
+            self._gradsq[len(self._k)] = gradsq
+        self._k.extend(range(k, k + len(run) * every, every))
+        self._block.extend(run)
+        self._wall_ns.extend(repeat(wall, len(run)))
+        cost, pred, meas = zip(*steps)
+        self._cost.extend(cost)
+        self._pred.extend(pred)
+        self._meas.extend(meas)
 
 
 @dataclass
@@ -127,7 +186,7 @@ class RunReport:
     final_cost: float
     final_grad_norm_sq: float
     termination: str  # tolerance | max_iters | stalled
-    records: list
+    records: RunLog
     f0: float
     best_grad_norm_sq: float
     best_k: int
@@ -392,7 +451,7 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
                  else iteration_bound(Q, config.sampling, f0, -Q.c2(), config.grad_tol))
     stall_window = STALL_WINDOW_FACTOR * n
 
-    records: list[LogRecord] = []
+    records = RunLog()
     best_gradsq = float("inf")
     best_k = -1
     best_point = None
@@ -430,14 +489,12 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
         if not run:  # all draw weights zero: every G_i, so the gradient, vanishes
             reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
             break
-        wall = time.perf_counter_ns() - t0  # shared by the steps of a run
-        for i_k, (cost_before, pred, meas) in zip(run, steps):
-            if state.k % config.log_every == 0:
-                records.append(LogRecord(state.k, cost_before, i_k, pred, meas, gradsq_here, wall))
-            gradsq_here = None  # checked before the first step of a run only
+        records._add_run(k, run, steps, gradsq_here, time.perf_counter_ns() - t0,
+                         config.log_every)
+        for cost_before, pred, _ in steps:
             stalled = abs(pred) < config.stall_rtol * (1.0 + abs(cost_before))
             state.stall_count = state.stall_count + 1 if stalled else 0
-            state.k += 1
+        state.k += len(run)
         if state.k % refresh_period == 0:
             max_drift = max(max_drift, _refresh(state, Q))
 

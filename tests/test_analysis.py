@@ -355,13 +355,16 @@ def test_lower_bound_falls_back_to_c2(monkeypatch):
     Q = random_instance(rng, 2, 6)
     point = random_point(rng, Q, 3)
     # A NaN block (only an unchecked point can carry one) makes S non-finite:
-    # the dense branch reports no eigenvalue instead of raising.
+    # the dense and the eigsh branch report no eigenvalue instead of raising.
     blocks = point.blocks.copy()
     blocks[2, 0, 0] = np.nan
     nan_point = FactorPoint.from_blocks(blocks, Q, require_feasible=False)
     assert Q.n * Q.d <= analysis.DENSE_EIG_CUTOFF
-    assert analysis._smallest_eigenvalue(build_certificate_matrix(nan_point, Q))[1] is False
-    certs = [certify_global(nan_point, Q)]
+    certs = []
+    for cutoff in (analysis.DENSE_EIG_CUTOFF, 0):
+        monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", cutoff)
+        assert analysis._smallest_eigenvalue(build_certificate_matrix(nan_point, Q))[1] is False
+        certs.append(certify_global(nan_point, Q))
     monkeypatch.setattr(analysis, "_smallest_eigenvalue", lambda S: (float("nan"), False))
     certs.append(certify_global(point, Q))
     for cert in certs:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from conftest import (dense_cost, gcache_residual, neighbors, random_instance, random_point,
                       random_stiefel, reference_solve, triangle)
 
-from blocksdp import (BlockSparseSym, NumericalError, SolverConfig, bcm, bcm_run, bcm_step,
-                      init_state, sample_block, solve)
+from blocksdp import (BlockSparseSym, NumericalError, RunLog, SolverConfig, bcm, bcm_run,
+                      bcm_step, init_state, sample_block, solve)
 from blocksdp.bcm import max_available_descent
 from blocksdp.blockmat import nuclear_norm
 from blocksdp.problems import generate_maxcut, generate_rotsync, sync_to_Q
@@ -216,6 +217,44 @@ def test_log_records_shape_and_cadence():
         assert r.wall_ns >= 0
         if r.k % 3 != 0:
             assert r.grad_norm_sq is None
+
+
+@pytest.mark.parametrize("sampling", ["uniform", "importance"])
+@pytest.mark.parametrize("log_every", [1, 3])
+def test_run_log_is_a_sequence_of_records(sampling, log_every):
+    # Sparse enough that uniform steps run in batches; 600 steps end before
+    # the stall window, so the gradient is checked exactly every 50 steps.
+    Q = generate_maxcut(200, 0.02, seed=5)
+    config = SolverConfig(rank=3, sampling=sampling, seed=2, grad_tol=1e-30, max_iters=600,
+                          check_period=50, refresh_period=130, log_every=log_every)
+    report = solve(Q, config)
+    log, records = report.records, list(report.records)
+    assert isinstance(log, RunLog) and len(log) == len(records)
+    assert [r.k for r in records] == list(range(0, 600, log_every))
+    assert [log[j] for j in range(len(log))] == records
+    assert (log[-1], log[-len(log)]) == (records[-1], records[0])
+    assert log[5:40:7] == records[5:40:7] and log[::-1] == records[::-1] and log[9:2] == []
+    for j in (len(log), -len(log) - 1):
+        with pytest.raises(IndexError):
+            log[j]
+    assert ([r.k for r in records if r.grad_norm_sq is not None]
+            == [k for k in range(0, 600, log_every) if k % 50 == 0])
+    assert_same_run(report, reference_solve(Q, config))
+
+
+def test_run_log_takes_under_64_bytes_per_step():
+    Q = generate_maxcut(2000, 0.003, seed=7)
+    config = SolverConfig(rank=4, seed=3, grad_tol=1e-30, max_iters=20000)
+    tracemalloc.start()
+    try:
+        report = solve(Q, config)
+        held = tracemalloc.get_traced_memory()[0]
+        report.records = None  # what dropping the log frees is what it held
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 20000
+    assert freed < 64 * 20000
 
 
 def test_nan_cost_aborts():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -298,6 +299,32 @@ def test_generate_maxcut_golden(tmp_path, capsys, args, n, edges, total, digest)
     assert text == (f'{{\n  "kind": "maxcut",\n  "n": {n},\n  "edges": {edges},\n'
                     f'  "total_weight": {total},\n  "output": {json.dumps(str(out))}\n}}\n')
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# The SHA-256 of a `solve --log` file with each line's wall_ns removed: a
+# uniform run (batched conflict-free runs, every second step logged) and an
+# importance run, each with gradient checks inside the log.
+SOLVE_LOG_GOLDEN = [
+    (["--n", "60", "--edge-prob", "0.05", "--seed", "6"],
+     ["--sampling", "uniform", "--max-iters", "400", "--check-period", "25",
+      "--refresh-period", "90", "--log-every", "2"],
+     "5f14697f933bbc430471a1e1514f6bf8f91ddb1bf8fdc709fb5d4d69c38cf824"),
+    (["--n", "12", "--edge-prob", "0.5", "--seed", "2", "--weighted"],
+     ["--sampling", "importance", "--tol", "1e-9", "--check-period", "7"],
+     "b394246e96adb331fd6b3b3b21b9fe4d71d84ed48ad23c1a67d7551428b6b56c"),
+]
+
+
+@pytest.mark.parametrize("graph,options,digest", SOLVE_LOG_GOLDEN)
+def test_solve_log_golden(tmp_path, capsys, graph, options, digest):
+    inst, log = tmp_path / "g.bsm", tmp_path / "run.jsonl"
+    assert run(capsys, ["generate", "maxcut", *graph, "--output", str(inst)])[0] == 0
+    run(capsys, ["solve", "--input", str(inst), "--rank", "3", "--seed", "4", *options,
+                 "--log", str(log)])
+    lines, found = zip(*(re.subn(rb', "wall_ns": \d+}\n$', b"}\n", line)
+                         for line in log.read_bytes().splitlines(keepends=True)))
+    assert set(found) == {1}
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == digest
 
 
 def test_generate_maxcut_deterministic(tmp_path, capsys):
