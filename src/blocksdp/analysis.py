@@ -136,7 +136,8 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
     the lift Y^T Y solves the SDP, so the verdict is certified-global.  A
     stationarity residual above cert_tol * (1 + ||Q||_F) yields
     not-stationary; a decisively negative eigenvalue yields first-order-only.
-    Eigenvalue-solver failures downgrade the verdict, never certify.
+    Eigenvalue-solver failures downgrade the verdict, never certify.  A
+    cert_tol that is not finite and positive raises ValueError.
 
     The lower bound: for every feasible X of the lifted problem,
     tr(Q X) = tr(S X) + F(Y) with tr(S X) >= dn * min(lambda_min(S), 0)
@@ -146,6 +147,8 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
     """
     if cert_tol is None:
         cert_tol = 1e-8 * (1.0 + Q.frobenius_norm())
+    elif not 0.0 < cert_tol < math.inf:
+        raise ValueError(f"cert_tol must be finite and positive, got {cert_tol}")
     S = build_certificate_matrix(point, Q)
     residual = float(np.linalg.norm(S @ point.stacked().T))
     lam, converged = _smallest_eigenvalue(S)

@@ -10,16 +10,17 @@ from-scratch evaluation at every cache refresh.
 
 Randomness comes from numpy's default PCG64 generator seeded with
 SolverConfig.seed: one batched draw of the n starting blocks (none when a
-warm start is supplied), then one draw per sampled index, which solve makes
-1024 at a time (the same stream).  An importance draw searches the sums of
-chunks of about sqrt(n) weights, then one chunk.  solve takes the steps
-between two checks in one call of the scheme's run generator: uniform
-indices are cut into runs of distinct, non-adjacent, hence commuting, steps
-that bcm_run applies bit-identically to one bcm_step per index (short runs
-take bcm_step); importance steps, each drawn from the weights the one before
-left, take sample_block and bcm_step in turn.  The iteration log, a RunLog,
-holds the logged steps in typed columns, 48 bytes a step, and builds each
-LogRecord when it is read.
+warm start is supplied), then one draw per sampled index.  Each scheme's run
+generator draws its own indices or uniforms from state.rng, 1024 at a time
+(the same stream); sample_block takes an importance draw's uniform and
+searches the sums of chunks of about sqrt(n) weights, then one chunk.  solve
+takes the steps between two checks in one call of the scheme's run
+generator: uniform indices are cut into runs of distinct, non-adjacent,
+hence commuting, steps that bcm_run applies bit-identically to one bcm_step
+per index (short runs take bcm_step); importance steps, each drawn from the
+weights the one before left, take sample_block and bcm_step in turn.  The
+iteration log, a RunLog, holds the logged steps in typed columns, 48 bytes a
+step, and builds each LogRecord when it is read.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class SolverConfig:
         Q.check_float_range()
         if self.rank < Q.d:
             raise ValueError(f"rank {self.rank} smaller than block dimension {Q.d}")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not self.grad_tol > 0:  # NaN too
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if not (0.0 < self.stall_rtol <= 1.0):
             raise ValueError(f"stall_rtol must be in (0, 1], got {self.stall_rtol}")
         for name in ("max_iters", "check_period", "refresh_period", "log_every"):
@@ -214,16 +215,16 @@ def init_state(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> Solv
     return SolverState(point=point, rng=rng, weights=weights)
 
 
-def sample_block(state: SolverState) -> int | None:
+def sample_block(state: SolverState, u: float | None = None) -> int | None:
     """Draw the next block index: uniformly when state.weights is None, else
     proportionally to the weights.
 
-    A weighted draw inverts the CDF of the weights in two levels: a chunk of
-    about sqrt(n) blocks by the prefix sums of the chunk sums, then a block
-    by that chunk's prefix sums.  It never returns a block of zero weight.
-    With all-zero weights it returns None: every G_i vanishing means the
-    Riemannian gradient is zero, so the caller should terminate with the
-    tolerance reason.
+    A weighted draw inverts the CDF of the weights at u, a uniform in [0, 1)
+    (state.rng.random() when None), in two levels: a chunk of about sqrt(n)
+    blocks by the prefix sums of the chunk sums, then a block by that chunk's
+    prefix sums.  It never returns a block of zero weight.  With all-zero
+    weights it returns None: every G_i vanishing means the Riemannian gradient
+    is zero, so the caller should terminate with the tolerance reason.
     """
     n = state.point.n
     weights = state.weights
@@ -234,7 +235,7 @@ def sample_block(state: SolverState) -> int | None:
     total = cum[-1]
     if total <= 0.0:
         return None
-    u = state.rng.random() * total
+    u = (state.rng.random() if u is None else u) * total
     c = _first_above(cum, u)
     start = c * size
     return start + _first_above(weights[start:start + size].cumsum(),
@@ -248,20 +249,6 @@ def _chunks(n: int):
     starts = np.arange(0, n, size)
     starts.flags.writeable = False
     return size, starts
-
-
-class _Predrawn:
-    """Stands in for the generator of an importance solve: random() returns the
-    values of rng.random(size=DRAW_CHUNK) one by one, the same stream as one
-    rng.random() call per value."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.random = self._values(rng).__next__
-
-    @staticmethod
-    def _values(rng: np.random.Generator):
-        while True:
-            yield from rng.random(size=DRAW_CHUNK).tolist()
 
 
 def _first_above(cum, u) -> int:
@@ -379,11 +366,14 @@ def _importance_runs(state: SolverState, Q: BlockSparseSym):
     """Importance runs: sent a cap, take up to that many steps, each drawn from
     the weights the one before left, and yield the run and its steps.  A run
     ends early once the weights sum to zero, and the run after it is empty."""
-    state.rng = _Predrawn(state.rng)  # the same uniforms, DRAW_CHUNK per generator call
+    def uniforms():  # state.rng's stream, the same as one rng.random() per draw
+        while True:
+            yield from state.rng.random(size=DRAW_CHUNK).tolist()
+    uniform = uniforms().__next__
     cap = yield
     while True:
         run, steps = [], []
-        while len(run) < cap and (i := sample_block(state)) is not None:
+        while len(run) < cap and (i := sample_block(state, uniform())) is not None:
             steps.append((state.point.cost, *bcm_step(state, Q, i)))
             run.append(i)
         cap = yield run, steps
@@ -417,10 +407,13 @@ def iteration_bound(Q: BlockSparseSym, sampling: str, f0: float, fstar: float, e
     from cost f0 (fstar when below): ceil(rate(Q) (F0 - F*) / eps).
 
     fstar may be any lower bound on the rank-restricted optimum; a looser one
-    only enlarges K.  ValueError for eps <= 0 or a K past the float range.
+    only enlarges K.  ValueError for eps not positive, fstar NaN or +inf, or a
+    K past the float range.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError(f"target eps must be positive, got {eps}")
+    if not fstar < math.inf:  # NaN too; F0 - F* would be NaN
+        raise ValueError(f"lower bound fstar must be a number below inf, got {fstar}")
     gap = max(f0, fstar) - fstar
     if gap == 0.0:
         return 0

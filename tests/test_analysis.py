@@ -126,9 +126,12 @@ def test_iteration_bound_d3_matches_the_formula(seed):
 def test_bound_validation():
     tri = triangle()
     for sampling in ("uniform", "importance"):
-        for eps in (0.0, -1.0):
+        for eps in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="eps must be positive"):
                 iteration_bound(tri, sampling, 0.0, 0.0, eps)
+        for fstar in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="fstar must be a number below inf"):
+                iteration_bound(tri, sampling, 0.0, fstar, 1.0)
         # f0 below fstar counts as fstar: no gap, no iterations.
         assert iteration_bound(tri, sampling, -1.0, 0.0, 1.0) == 0
 

@@ -272,8 +272,9 @@ def test_config_validation():
         SolverConfig(rank=0).validate(Q)
     with pytest.raises(ValueError):
         SolverConfig(rank=2, sampling="greedy").validate(Q)
-    with pytest.raises(ValueError):
-        SolverConfig(rank=2, grad_tol=0.0).validate(Q)
+    for grad_tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="grad_tol must be positive"):
+            SolverConfig(rank=2, grad_tol=grad_tol).validate(Q)
     with pytest.raises(ValueError):
         SolverConfig(rank=2, log_every=0).validate(Q)
 
@@ -320,21 +321,17 @@ def test_importance_draw_matches_cumsum_reference(n):
     last[(n - 1) // size * size:] = g.random(n - (n - 1) // size * size) + 0.5
     cases = [sparse, wide, single, last]
     for seed, weights in enumerate(cases):
-        state = importance_state(n, weights, seed)
-        ref = np.random.default_rng(seed)
+        # One state draws its uniforms from state.rng, the other is handed them.
+        state, handed = importance_state(n, weights, seed), importance_state(n, weights, seed)
+        ref, uniforms = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3000):
             k = sample_block(state)
-            assert k == cumsum_draw(weights, ref)
+            assert k == cumsum_draw(weights, ref) == sample_block(handed, uniforms.random())
             assert weights[k] > 0.0
+        assert handed.rng.random() == np.random.default_rng(seed).random()  # never drawn from
     state = importance_state(n, np.zeros(n), 0)
     assert sample_block(state) is None
-
-
-class TopDraw:
-    """Generator stub whose uniform draw is the largest double below 1."""
-
-    def random(self):
-        return 1.0 - 2.0 ** -53
+    assert sample_block(state, 0.5) is None
 
 
 def test_importance_draw_at_the_chunk_edge_skips_zero_weights():
@@ -346,8 +343,7 @@ def test_importance_draw_at_the_chunk_edge_skips_zero_weights():
     weights[:math.isqrt(n) - 1] = 1e-16
     weights[0] = 1.0
     state = importance_state(n, weights, 0)
-    state.rng = TopDraw()
-    assert sample_block(state) == 0
+    assert sample_block(state, 1.0 - 2.0 ** -53) == 0  # the largest double below 1
 
 
 def per_block_start(Q, rank, seed):
@@ -542,8 +538,22 @@ def test_chunked_importance_uniforms_equal_scalar_draws(n):
     scalar = [scalar_rng.random() for _ in range(2500)]
     chunked = chunk_rng.random(size=1000).tolist() + chunk_rng.random(size=1500).tolist()
     assert chunked == scalar
-    predrawn = bcm._Predrawn(np.random.default_rng(n))  # what an importance solve draws from
-    assert [predrawn.random() for _ in range(2500)] == scalar
+
+
+def test_importance_runs_draw_from_the_state_generator():
+    # The scheme's run generator takes its uniforms DRAW_CHUNK at a time from
+    # init_state's generator and leaves state.rng in place: 2500 steps draw
+    # three chunks.
+    Q = generate_maxcut(200, 0.05, seed=1)
+    state = make_state(Q, 4, 5, sampling="importance")
+    rng, ref = state.rng, copy.deepcopy(state.rng)
+    runs = bcm.SAMPLING_SCHEMES["importance"].runs(state, Q)
+    next(runs)
+    run, steps = runs.send(2500)
+    assert len(run) == len(steps) == 2500
+    assert state.rng is rng
+    ref.random(size=3 * bcm.DRAW_CHUNK)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def assert_same_run(report, ref):

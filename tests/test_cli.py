@@ -160,6 +160,32 @@ def test_verify_empty_solution_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--cert-tol", "inf"], "cert_tol must be finite and positive, got inf"),
+    (["verify", "--cert-tol", "nan"], "cert_tol must be finite and positive, got nan"),
+    (["verify", "--cert-tol", "0"], "cert_tol must be finite and positive, got 0.0"),
+    (["verify", "--cert-tol", "-1"], "cert_tol must be finite and positive, got -1.0"),
+    (["solve", "--rank", "3", "--tol", "nan"], "grad_tol must be positive, got nan"),
+    (["solve", "--rank", "3", "--tol", "nan", "--max-iters", "50"],
+     "grad_tol must be positive, got nan"),
+    (["bench", "--rank", "3", "--fstar", "nan", "--trials", "1"],
+     "lower bound fstar must be a number below inf, got nan"),
+])
+def test_tolerances_that_are_not_positive_numbers_are_refused(tmp_path, capsys, argv, message):
+    # A random rank-3 factor is far from stationary (squared gradient norm 87.8,
+    # lambda_min -4.33): an infinite cert_tol would certify it.
+    inst, sol = tmp_path / "g.bsm", tmp_path / "y.yf"
+    run(capsys, ["generate", "maxcut", "--n", "12", "--edge-prob", "0.5", "--seed", "2",
+                 "--output", str(inst)])
+    rng = np.random.default_rng(0)
+    write_yfactor([random_stiefel(3, 1, rng) for _ in range(12)], sol)
+    code, out, _ = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
+    assert code == 1 and json.loads(out)["certificate"]["verdict"] == "not-stationary"
+    extra = ["--solution", str(sol)] if argv[0] == "verify" else []
+    code, out, err = run(capsys, [argv[0], "--input", str(inst), *extra, *argv[1:]])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_non_finite_solution_file_is_a_parse_error(tmp_path, capsys):
     inst = tmp_path / "edge.bsm"
     write_bsm(BlockSparseSym(1, 2, {(0, 1): np.array([[1.0]])}), inst)
