@@ -7,7 +7,13 @@ The certificate matrix S = Q - BlockDiag(A_1, ..., A_n) is assembled
 sparse, in Q's block-CSR layout, so it stores at most nnz(Q) + n d^2
 entries.  Up to DENSE_EIG_CUTOFF rows, S is scattered from its blocks into
 a dense array and LAPACK's subset driver computes its smallest eigenvalue
-alone; above, eigsh runs on S itself (fixed start vector).
+alone.  Above, eigsh runs from a fixed start vector on S + g I, where g is
+S's Gershgorin bound max_i sum_j |S_ij|, so that the spectrum lies in
+[0, 2g], and stops at tol = eps / (2g): ARPACK's relative stopping rule
+then bounds the Ritz residual r = ||S v - lambda v|| by the absolute
+eps = EIG_TOL_FRACTION * cert_tol, even at lambda near 0.  The report
+carries r as lambda_residual (0 on the dense branch).  A Ritz value is never
+below lambda_min(S), so the verdict and the lower bound use lambda - r.
 certify_global is the one place that derives quantities from freshly
 recomputed couplings: the stationarity residual, the gradient norm, the
 smallest eigenvalue and the lower bound all come from one S and one
@@ -22,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import bsr_matrix
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .blockmat import BlockSparseSym
 from .stiefel import (FactorPoint, compute_gcache, evaluate_cost,
@@ -31,6 +37,8 @@ from .stiefel import (FactorPoint, compute_gcache, evaluate_cost,
 # Certificate matrices up to this dimension get a dense eigenvalue solve;
 # larger ones go to the iterative eigsh.
 DENSE_EIG_CUTOFF = 2000
+# eigsh's absolute accuracy, as a fraction of the certificate's cert_tol.
+EIG_TOL_FRACTION = 0.1
 
 
 def grad_norm_sq_fast(point: FactorPoint) -> float:
@@ -65,10 +73,12 @@ class CertificateReport:
     """Outcome of the dual-certificate check at a candidate solution.
 
     lower_bound is a rigorous lower bound on the SDP optimum (see
-    certify_global), valid at any point, stationary or not.
+    certify_global), valid at any point, stationary or not; it and the
+    verdict use lambda_min - lambda_residual.
     """
 
     lambda_min: float
+    lambda_residual: float  # ||S v - lambda_min v|| of the Ritz pair; 0 when dense
     stationarity_residual: float
     grad_norm_sq: float
     verdict: str  # certified-global | first-order-only | not-stationary
@@ -101,27 +111,37 @@ def _dense(S: bsr_matrix) -> np.ndarray:
     return out.reshape(S.shape)
 
 
-def _smallest_eigenvalue(S: bsr_matrix):
-    """Algebraically smallest eigenvalue; returns (value, converged).
+def _smallest_eigenvalue(S: bsr_matrix, eps: float):
+    """Algebraically smallest eigenvalue; returns (value, residual, converged).
 
-    A non-finite S gives (nan, False).  Up to DENSE_EIG_CUTOFF rows, LAPACK's
-    subset driver computes it alone from the dense S scattered by _dense;
-    above, eigsh runs on the sparse S.
+    A non-finite S gives (nan, nan, False).  Up to DENSE_EIG_CUTOFF rows,
+    LAPACK's subset driver computes it alone from the dense S scattered by
+    _dense, with residual 0.  Above, eigsh runs on S + g I (g the Gershgorin
+    bound, applied without a copy of S) to tol eps / (2g), and the shift is
+    taken off the Ritz value, also off the partial one of ArpackNoConvergence;
+    residual is ||S v - value v|| for the unit Ritz vector v, nan without one.
     """
     if not np.isfinite(S.data).all():
-        return float("nan"), False
+        return float("nan"), float("nan"), False
     if S.shape[0] <= DENSE_EIG_CUTOFF:
         vals = eigh(_dense(S), eigvals_only=True, subset_by_index=[0, 0], check_finite=False)
-        return float(vals[0]), True
+        return float(vals[0]), 0.0, True
+    g = float(abs(S).sum(axis=1).max())
+    if g == 0.0:
+        return 0.0, 0.0, True
+    shifted = LinearOperator(S.shape, matvec=lambda x: S @ x + g * x, dtype=S.dtype)
     v0 = np.random.default_rng(0).standard_normal(S.shape[0])  # the same value on every call
     try:
-        vals = eigsh(S, k=1, which="SA", v0=v0, return_eigenvectors=False)
-        return float(vals[0]), True
+        vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=eps / (2.0 * g))
+        converged = True
     except ArpackNoConvergence as exc:
-        vals = exc.eigenvalues
-        if len(vals):
-            return float(vals[0]), False
-        return float("nan"), False
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+        if not len(vals):
+            return float("nan"), float("nan"), False
+        converged = False
+    lam = float(vals[0]) - g
+    v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    return lam, float(np.linalg.norm(S @ v - lam * v)), converged
 
 
 def certify_global(point: FactorPoint, Q: BlockSparseSym,
@@ -135,15 +155,20 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
     semidefinite, Y is a global minimizer of the rank-restricted problem and
     the lift Y^T Y solves the SDP, so the verdict is certified-global.  A
     stationarity residual above cert_tol * (1 + ||Q||_F) yields
-    not-stationary; a decisively negative eigenvalue yields first-order-only.
-    Eigenvalue-solver failures downgrade the verdict, never certify.  A
-    cert_tol that is not finite and positive raises ValueError.
+    not-stationary.  Otherwise the point is certified when lambda - r >=
+    -cert_tol, lambda the eigenvalue solve's value and r its residual
+    (lambda_residual), solved to EIG_TOL_FRACTION * cert_tol; else it is
+    first-order-only.  Eigenvalue-solver failures downgrade the verdict,
+    never certify.  A cert_tol that is not finite and positive raises
+    ValueError.
 
     The lower bound: for every feasible X of the lifted problem,
     tr(Q X) = tr(S X) + F(Y) with tr(S X) >= dn * min(lambda_min(S), 0)
     since tr(X) = dn; and F(Y) = sum_i tr(A_i) = -tr(S) because Q's
-    diagonal blocks are zero.  It falls back to -C2(Q) when lambda_min is
-    not finite.
+    diagonal blocks are zero.  lambda - r stands in for lambda_min(S): a
+    Ritz value lies at or above lambda_min, and lambda - r at or below the
+    eigenvalue its Ritz pair approximates.  It falls back to -C2(Q) when
+    lambda is not finite.
     """
     if cert_tol is None:
         cert_tol = 1e-8 * (1.0 + Q.frobenius_norm())
@@ -151,20 +176,22 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
         raise ValueError(f"cert_tol must be finite and positive, got {cert_tol}")
     S = build_certificate_matrix(point, Q)
     residual = float(np.linalg.norm(S @ point.stacked().T))
-    lam, converged = _smallest_eigenvalue(S)
+    lam, lam_residual, converged = _smallest_eigenvalue(S, EIG_TOL_FRACTION * cert_tol)
+    lam_low = lam - lam_residual
     note = None
     if residual > cert_tol * (1.0 + Q.frobenius_norm()):
         verdict = "not-stationary"
-    elif converged and lam >= -cert_tol:
+    elif converged and lam_low >= -cert_tol:
         verdict = "certified-global"
     else:
         verdict = "first-order-only"
         if not converged:
             note = "eigenvalue solver did not converge; certificate downgraded"
-    if math.isfinite(lam):
-        bound = Q.d * Q.n * min(lam, 0.0) - float(S.diagonal().sum())
+    if math.isfinite(lam_low):
+        bound = Q.d * Q.n * min(lam_low, 0.0) - float(S.diagonal().sum())
     else:
         bound = -Q.c2()
-    return CertificateReport(lambda_min=lam, stationarity_residual=residual,
+    return CertificateReport(lambda_min=lam, lambda_residual=lam_residual,
+                             stationarity_residual=residual,
                              grad_norm_sq=4.0 * residual ** 2, verdict=verdict,
                              cert_tol=cert_tol, lower_bound=bound, note=note)

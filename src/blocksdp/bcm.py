@@ -402,18 +402,24 @@ def max_available_descent(point: FactorPoint) -> float:
     return float(max(0.0, (2.0 * (nuclear_norm(G) + inner)).max()))
 
 
+def check_bound_args(fstar: float, eps: float) -> None:
+    """ValueError for an eps not positive, or an fstar NaN or +inf: the
+    inputs iteration_bound refuses before any bound is formed."""
+    if not eps > 0:  # NaN too
+        raise ValueError(f"target eps must be positive, got {eps}")
+    if not fstar < math.inf:  # NaN too; F0 - F* would be NaN
+        raise ValueError(f"lower bound fstar must be a number below inf, got {fstar}")
+
+
 def iteration_bound(Q: BlockSparseSym, sampling: str, f0: float, fstar: float, eps: float) -> int:
     """Iterations sufficient for the scheme to reach squared gradient norm eps
     from cost f0 (fstar when below): ceil(rate(Q) (F0 - F*) / eps).
 
     fstar may be any lower bound on the rank-restricted optimum; a looser one
-    only enlarges K.  ValueError for eps not positive, fstar NaN or +inf, or a
-    K past the float range.
+    only enlarges K.  ValueError for eps and fstar that check_bound_args
+    refuses, or a K past the float range.
     """
-    if not eps > 0:  # NaN too
-        raise ValueError(f"target eps must be positive, got {eps}")
-    if not fstar < math.inf:  # NaN too; F0 - F* would be NaN
-        raise ValueError(f"lower bound fstar must be a number below inf, got {fstar}")
+    check_bound_args(fstar, eps)
     gap = max(f0, fstar) - fstar
     if gap == 0.0:
         return 0

@@ -172,8 +172,8 @@ def _resolve_fstar(Q: BlockSparseSym, rank: int, supplied: float | None):
     Without a supplied value, solves once at full rank to tight tolerance
     and certifies; a certified cost is the SDP optimum, hence a valid lower
     bound for any rank.  Otherwise the certificate's dual bound
-    F(Y) + dn * min(lambda_min(S), 0) is used, with -C2(Q) as last resort;
-    the verdict and the bound come from one eigen-solve.
+    F(Y) + dn * min(lambda_min - lambda_residual, 0) is used, with -C2(Q) as
+    last resort; the verdict and the bound come from one eigen-solve.
     """
     if supplied is not None:
         return supplied, "supplied"
@@ -191,6 +191,8 @@ def _resolve_fstar(Q: BlockSparseSym, rank: int, supplied: float | None):
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError("bench needs --trials >= 1")
+    if args.fstar is not None:  # refused here, not after the trials
+        bcm.check_bound_args(args.fstar, args.tol)
     Q, offset, fmt = _load_instance(args.input, args.format)
     fstar, fstar_source = _resolve_fstar(Q, args.rank, args.fstar)
     seed_rng = np.random.default_rng(args.seed)
@@ -258,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify a solution file")
     add_instance_args(pv)
     pv.add_argument("--solution", required=True, help="YFACTOR file to verify")
-    pv.add_argument("--cert-tol", type=float, default=None)
+    pv.add_argument("--cert-tol", type=float, default=None,
+                    help="certificate tolerance (default 1e-8 * (1 + ||Q||_F)); the "
+                         "eigenvalue solve is accurate to "
+                         f"{analysis.EIG_TOL_FRACTION:g} * cert-tol")
     pv.set_defaults(func=cmd_verify)
 
     pg = sub.add_parser("generate", help="write a synthetic instance")

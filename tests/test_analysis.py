@@ -5,6 +5,7 @@ import pytest
 from conftest import pairs, random_instance, random_point, random_stiefel, triangle
 from lemma_oracles import lemma_oracles
 from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from blocksdp import analysis
 from blocksdp import (BlockSparseSym, FactorPoint, SolverConfig, build_certificate_matrix,
@@ -168,12 +169,17 @@ def test_sdp_lift_check_values():
     assert resid == pytest.approx(0.21, abs=1e-12)
 
 
-def test_certificate_zero_instance():
+def test_certificate_zero_instance(monkeypatch):
     Q = BlockSparseSym(2, 3, {})
     point = random_point(np.random.default_rng(4), Q, 2)
     cert = certify_global(point, Q)
     assert cert.verdict == "certified-global"
     assert cert.lambda_min == pytest.approx(0.0, abs=1e-14)
+    # S = 0 has Gershgorin bound 0: the eigsh branch knows lambda_min = 0
+    # without a shift to divide its tolerance by.
+    monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)
+    assert analysis._smallest_eigenvalue(build_certificate_matrix(point, Q), 1e-9) == (0.0, 0.0, True)
+    assert certify_global(point, Q).verdict == "certified-global"
 
 
 def test_certificate_triangle_optimum():
@@ -263,8 +269,9 @@ def test_dense_branch_matches_the_full_spectrum(name, Q, point):
     assert S.shape[0] <= analysis.DENSE_EIG_CUTOFF
     reference = S.toarray()
     assert analysis._dense(S).tobytes() == reference.tobytes()
-    lam, converged = analysis._smallest_eigenvalue(S)
+    lam, lam_residual, converged = analysis._smallest_eigenvalue(S, 1e-9)
     assert converged
+    assert lam_residual == 0.0
     full = np.linalg.eigvalsh(reference)
     assert abs(lam - full[0]) <= 1e-12 * (1.0 + np.linalg.norm(reference))
     if name == "triangle":
@@ -297,14 +304,83 @@ def test_certificate_eigsh_branch_matches_dense(monkeypatch):
         iterative = certify_global(point, Q)
         monkeypatch.undo()
         assert abs(iterative.lambda_min - dense.lambda_min) <= 1e-8
+        # eigsh stops at the absolute accuracy EIG_TOL_FRACTION * cert_tol:
+        # its value lies within its residual of the dense one, and value -
+        # residual never above it (up to rounding in the dense solve).
+        assert dense.lambda_residual == 0.0
+        assert 0.0 <= iterative.lambda_residual <= analysis.EIG_TOL_FRACTION * iterative.cert_tol
+        rounding = 1e-12 * (1.0 + abs(dense.lambda_min))
+        assert abs(iterative.lambda_min - dense.lambda_min) <= iterative.lambda_residual + rounding
+        assert iterative.lambda_min - iterative.lambda_residual <= dense.lambda_min + rounding
         cost = evaluate_cost(point.blocks, Q)
         for cert in (dense, iterative):
-            assert (abs(cert.lower_bound - (cost + Q.d * Q.n * min(cert.lambda_min, 0.0)))
-                    <= 1e-9 * (1.0 + abs(cost)))
+            low = cert.lambda_min - cert.lambda_residual
+            # tighter than dn * r, so that the residual term is seen
+            assert (abs(cert.lower_bound - (cost + Q.d * Q.n * min(low, 0.0)))
+                    <= 1e-12 * (1.0 + abs(cost)))
         assert iterative.verdict == dense.verdict
         assert iterative.note is None
         verdicts.append(dense.verdict)
     assert verdicts == ["not-stationary", "first-order-only", "certified-global"]
+
+
+@pytest.mark.parametrize("partial", [True, False])
+def test_eigsh_no_convergence_downgrades(monkeypatch, partial):
+    # eigsh raising ArpackNoConvergence at the rank-6 optimum of
+    # test_certificate_eigsh_branch_matches_dense, which certifies otherwise.
+    rng = np.random.default_rng(10)
+    Q = random_instance(rng, 2, 30, density=0.2)
+    point = solve(Q, SolverConfig(rank=6, grad_tol=1e-11, seed=3)).point
+    monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)
+    assert certify_global(point, Q).verdict == "certified-global"
+    S = build_certificate_matrix(point, Q).toarray()
+    g = np.abs(S).sum(axis=1).max()
+    lam, vecs = np.linalg.eigh(S)
+    x = rng.standard_normal(S.shape[0])
+
+    def no_convergence(A, k, which, v0, tol):
+        # eigsh sees S + g I, to tol eps / (2 g) with eps = 0.1 cert_tol
+        np.testing.assert_allclose(A @ x, S @ x + g * x, rtol=1e-14, atol=1e-12)
+        assert tol == pytest.approx(analysis.EIG_TOL_FRACTION * 1e-8 * (1 + Q.frobenius_norm())
+                                    / (2 * g), rel=1e-12)
+        if partial:
+            raise ArpackNoConvergence("no convergence", lam[:1] + g, vecs[:, :1])
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((S.shape[0], 0)))
+
+    monkeypatch.setattr(analysis, "eigsh", no_convergence)
+    cert = certify_global(point, Q)
+    assert cert.verdict == "first-order-only"
+    assert cert.note == "eigenvalue solver did not converge; certificate downgraded"
+    if partial:
+        # the partial value, un-shifted, with its Ritz vector's residual
+        assert cert.lambda_min == pytest.approx(lam[0], abs=1e-13)
+        assert 0.0 <= cert.lambda_residual <= 1e-12
+        low = cert.lambda_min - cert.lambda_residual
+        cost = evaluate_cost(point.blocks, Q)
+        assert cert.lower_bound == pytest.approx(cost + Q.d * Q.n * min(low, 0.0), abs=1e-9)
+    else:
+        assert np.isnan(cert.lambda_min) and np.isnan(cert.lambda_residual)
+        assert cert.lower_bound == -Q.c2()
+
+
+def test_ritz_residual_enters_the_verdict(monkeypatch):
+    # A converged Ritz value of -0.6 cert_tol whose vector is the true
+    # eigenvector for lambda_min ~ 0 has residual ~0.6 cert_tol: lambda alone
+    # would certify, lambda - r < -cert_tol does not.
+    rng = np.random.default_rng(10)
+    Q = random_instance(rng, 2, 30, density=0.2)
+    point = solve(Q, SolverConfig(rank=6, grad_tol=1e-11, seed=3)).point
+    monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)
+    S = build_certificate_matrix(point, Q).toarray()
+    g = np.abs(S).sum(axis=1).max()
+    lam, vecs = np.linalg.eigh(S)
+    cert_tol = 1e-8 * (1 + Q.frobenius_norm())
+    monkeypatch.setattr(analysis, "eigsh",
+                        lambda A, **kw: (np.array([g - 0.6 * cert_tol]), vecs[:, :1]))
+    cert = certify_global(point, Q)
+    assert cert.lambda_min == pytest.approx(-0.6 * cert_tol, rel=1e-6)
+    assert cert.lambda_residual == pytest.approx(0.6 * cert_tol + lam[0], rel=1e-6)
+    assert cert.verdict == "first-order-only" and cert.note is None
 
 
 def test_eigsh_lambda_min_is_reproducible(monkeypatch):
@@ -366,9 +442,10 @@ def test_lower_bound_falls_back_to_c2(monkeypatch):
     certs = []
     for cutoff in (analysis.DENSE_EIG_CUTOFF, 0):
         monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", cutoff)
-        assert analysis._smallest_eigenvalue(build_certificate_matrix(nan_point, Q))[1] is False
+        assert analysis._smallest_eigenvalue(build_certificate_matrix(nan_point, Q), 1e-9)[2] is False
         certs.append(certify_global(nan_point, Q))
-    monkeypatch.setattr(analysis, "_smallest_eigenvalue", lambda S: (float("nan"), False))
+    monkeypatch.setattr(analysis, "_smallest_eigenvalue",
+                        lambda S, eps: (float("nan"), float("nan"), False))
     certs.append(certify_global(point, Q))
     for cert in certs:
         assert cert.lower_bound == -Q.c2()

@@ -186,6 +186,17 @@ def test_tolerances_that_are_not_positive_numbers_are_refused(tmp_path, capsys, 
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fstar", ["nan", "inf"])
+def test_bench_refuses_fstar_before_any_solve(tmp_path, capsys, monkeypatch, fstar):
+    inst = write_triangle(tmp_path)
+    solves = []
+    monkeypatch.setattr(blocksdp.bcm, "solve", lambda *a, **k: solves.append(a))
+    code, out, err = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
+                                  "--fstar", fstar, "--trials", "5"])
+    assert (code, out, solves) == (1, "", [])
+    assert err == f"error: lower bound fstar must be a number below inf, got {fstar}\n"
+
+
 def test_non_finite_solution_file_is_a_parse_error(tmp_path, capsys):
     inst = tmp_path / "edge.bsm"
     write_bsm(BlockSparseSym(1, 2, {(0, 1): np.array([[1.0]])}), inst)
@@ -419,10 +430,10 @@ def test_bench_solves_one_eigenproblem_per_fstar(tmp_path, capsys, monkeypatch):
     calls = []
     solve_eig = analysis._smallest_eigenvalue
 
-    def shifted(S):
-        lam, converged = solve_eig(S)
+    def shifted(S, eps):
+        lam, lam_residual, converged = solve_eig(S, eps)
         calls.append(lam)
-        return lam - 1.0, converged
+        return lam - 1.0, lam_residual, converged
 
     monkeypatch.setattr(analysis, "_smallest_eigenvalue", shifted)
     code, out, _ = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
