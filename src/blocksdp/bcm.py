@@ -160,6 +160,18 @@ class RunLog(Sequence):
         whose index is a multiple of every: all of them share wall, and the
         first, step k, carries gradsq, the squared gradient norm checked
         before the run (None if unchecked)."""
+        if len(run) == 1:  # a one-step run (all of them when every step is checked): appended as is
+            if k % every == 0:
+                if gradsq is not None:
+                    self._gradsq[len(self._k)] = gradsq
+                self._k.append(k)
+                self._block.append(run[0])
+                self._wall_ns.append(wall)
+                cost, pred, meas = steps[0]
+                self._cost.append(cost)
+                self._pred.append(pred)
+                self._meas.append(meas)
+            return
         if every > 1:
             first = -k % every
             run, steps, k = run[first::every], steps[first::every], k + first
@@ -402,13 +414,22 @@ def max_available_descent(point: FactorPoint) -> float:
     return float(max(0.0, (2.0 * (nuclear_norm(G) + inner)).max()))
 
 
-def check_bound_args(fstar: float, eps: float) -> None:
-    """ValueError for an eps not positive, or an fstar NaN or +inf: the
-    inputs iteration_bound refuses before any bound is formed."""
+def _check_target(fstar: float, eps: float) -> None:
+    """ValueError for an eps not positive, or an fstar NaN or +inf: the inputs
+    iteration_bound refuses before any bound is formed."""
     if not eps > 0:  # NaN too
         raise ValueError(f"target eps must be positive, got {eps}")
     if not fstar < math.inf:  # NaN too; F0 - F* would be NaN
         raise ValueError(f"lower bound fstar must be a number below inf, got {fstar}")
+
+
+def check_bound_args(fstar: float, eps: float) -> None:
+    """ValueError for the inputs that bound no iteration count: those that
+    iteration_bound refuses up front and fstar = -inf, a valid lower bound
+    whose K is infinite (iteration_bound refuses that K as past the range)."""
+    _check_target(fstar, eps)
+    if fstar == -math.inf:
+        raise ValueError(f"lower bound fstar must be finite to bound the iterations, got {fstar}")
 
 
 def iteration_bound(Q: BlockSparseSym, sampling: str, f0: float, fstar: float, eps: float) -> int:
@@ -416,10 +437,10 @@ def iteration_bound(Q: BlockSparseSym, sampling: str, f0: float, fstar: float, e
     from cost f0 (fstar when below): ceil(rate(Q) (F0 - F*) / eps).
 
     fstar may be any lower bound on the rank-restricted optimum; a looser one
-    only enlarges K.  ValueError for eps and fstar that check_bound_args
-    refuses, or a K past the float range.
+    only enlarges K.  ValueError for an eps not positive, an fstar NaN or
+    +inf, or a K past the float range (fstar = -inf among them).
     """
-    check_bound_args(fstar, eps)
+    _check_target(fstar, eps)
     gap = max(f0, fstar) - fstar
     if gap == 0.0:
         return 0

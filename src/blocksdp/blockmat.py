@@ -19,21 +19,23 @@ with m data lines, 1-based indices i < j, and the d x d block in row-major
 order.  Matrix Market coordinate files are accepted for d = 1.  Every text
 format is read by `_read_rows` and written by `_write_rows`, with the checks
 on whole arrays; a malformed file raises ParseError naming a faulty line.
-`_read_rows` converts the data lines in one np.loadtxt pass and leaves any
-doubt to a row reader, so the accepted inputs and the messages are the row
-reader's; it finds the blank and comment lines only when that pass cannot
-take every line as a row.  The readers hand index and block arrays to
-`BlockSparseSym.from_arrays`, the one construction path, which sorts the
-pairs once, by the int64 key i * n + j (hence n <= _N_MAX); a reader looks
-for the line of a repeated pair only after construction has found one.
+`_read_rows` converts the data lines in one np.loadtxt pass over the open
+file, taken in batches, and leaves any doubt to a row reader, so the
+accepted inputs and the messages are the row reader's; the list of the
+file's lines is built only when that pass meets a comment line or a doubt.
+The readers hand index and block arrays to `BlockSparseSym.from_arrays`,
+the one construction path, which sorts one int64 key r * n + c per stored
+block, both orientations at once (hence n <= _N_MAX); a reader looks for
+the line of a repeated pair only after construction has found one.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 from scipy.sparse import bsr_matrix
@@ -71,37 +73,66 @@ def _int_array(values):
         return np.array(values, dtype=object)
 
 
-def _read_header(path, form: str):
-    """The lines of a file headed by `form` (e.g. 'BSM d n m'), and its header's integers."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
+def _read_header(path, fh, form: str):
+    """The integers of the first line of the open file fh, a header `form` (e.g. 'BSM d n m')."""
+    line = fh.readline()
+    if not line:
         raise ParseError(path, 1, f"empty file, expected '{form}' header")
-    head = lines[0].split()
+    head = line.split()
     if len(head) != len(form.split()) or head[0] != form.split()[0]:
-        raise ParseError(path, 1, f"bad header {lines[0].strip()!r}, expected '{form}'")
+        raise ParseError(path, 1, f"bad header {line.strip()!r}, expected '{form}'")
     try:
-        return lines, [int(v) for v in head[1:]]
+        return [int(v) for v in head[1:]]
     except ValueError:
-        raise ParseError(path, 1, f"non-integer header fields in {lines[0].strip()!r}") from None
+        raise ParseError(path, 1, f"non-integer header fields in {line.strip()!r}") from None
 
 
-def _read_rows(path, lines, first: int, n_int: int, n_float: int, messages, comment=()):
-    """Line numbers, integers (n_int, k) and finite floats (k, n_float), converted as
-    int() and float() would, of the rows of lines[first:] but blank lines and those
-    starting with `comment`.  A wrong field count, a non-number or a non-finite value
-    raises ParseError with messages[0], [1] or [2], formatted with the stripped
-    `line`, its `fields`, their count `got` and (for [2]) its integers `ints`.
+# Characters per batch of lines that _read_rows' conversion pass reads from a file.
+_BATCH_CHARS = 1 << 14
 
-    The rows are converted in one C-level pass (`_load_table`); the row reader
-    `_convert_rows` takes over whenever that pass has any doubt, so it alone accepts
-    what only int() and float() read and names a faulty line.  The pass first takes
-    every line; only when it cannot read each line as one row (a blank line, a
-    comment line, whose first field never converts, or a doubt) are those lines
-    found and skipped, and the pass made again."""
-    body = lines[first:]
-    if (table := _load_table(body, n_int, n_float)) is not None:  # no blank, no comment line
-        return (first + 1 + np.arange(len(body)), *table)
+
+def _batches(fh, sizes: list):
+    """The remaining lines of the open text file fh in batches of about _BATCH_CHARS
+    characters, each batch's number of lines appended to sizes as it is read."""
+    for batch in iter(partial(fh.readlines, _BATCH_CHARS), []):
+        sizes.append(len(batch))
+        yield batch
+
+
+def _read_rows(path, fh, first: int, n_int: int, n_float: int, messages, comment=()):
+    """The rows of the open text file fh, the lines after its first `first` but blank
+    lines and those starting with `comment`: (lines, at, ints, floats), the file's
+    line count, the line number of each row, and the integers (n_int, k) and finite
+    floats (k, n_float) of the k rows, converted as int() and float() would.  A wrong
+    field count, a non-number or a non-finite value raises ParseError with
+    messages[0], [1] or [2], formatted with the stripped `line`, its `fields`, their
+    count `got` and (for [2]) its integers `ints`.
+
+    The rows are converted in one C-level pass (`_load_table`) over the lines of fh,
+    read in batches of bounded size and counted, which skips blank lines.  When it
+    gives one row per line, no line was blank and the line numbers are a range; when
+    it gives fewer, one stream over the lines numbers the rows.  Only when that pass
+    has any doubt (a comment line, whose first field never converts, or a row that
+    int() and float() alone read) does the list of lines come back: its blank and
+    comment lines are skipped, the pass made again on the rest, and the row reader
+    `_convert_rows` takes over if it still has a doubt, so it alone accepts what
+    only int() and float() read and names a faulty line."""
+    skip = first  # the lines before the rows, from where fh.seek(0) goes
+    if not fh.seekable():  # a pipe is read once: keep the rest of it
+        fh, skip = io.StringIO(fh.read()), 0
+    sizes = []
+    table = _load_table(chain.from_iterable(_batches(fh, sizes)), n_int, n_float)
+    if table is not None:
+        lines = first + sum(sizes)
+        if len(table[1]) == sum(sizes):  # no blank line
+            return lines, range(first + 1, lines + 1), *table
+        fh.seek(0)
+        data = np.fromiter(map(bool, map(str.lstrip, islice(fh, skip, None))), bool)
+        if np.count_nonzero(data) == len(table[1]):  # the pass skipped just the blank lines
+            return lines, first + 1 + np.flatnonzero(data), *table
+    fh.seek(0)
+    body = list(islice(fh, skip, None))
+    lines = first + len(body)
     heads = list(map(str.lstrip, body))
     data = np.fromiter(map(bool, heads), bool, len(heads))
     if comment:
@@ -109,16 +140,16 @@ def _read_rows(path, lines, first: int, n_int: int, n_float: int, messages, comm
     at = first + 1 + np.flatnonzero(data)
     rows = list(compress(body, data))
     table = _load_table(rows, n_int, n_float)
-    if table is None:
+    if table is None or len(table[1]) != len(rows):
         table = _convert_rows(path, at, rows, n_int, n_float, messages)
-    return (at, *table)
+    return lines, at, *table
 
 
 def _load_table(rows, n_int: int, n_float: int):
-    """Integers (n_int, k) and floats (k, n_float) of the k strings rows from one
-    np.loadtxt pass, or None when that pass raises, warns, returns another number of
-    rows or meets a non-finite value.  loadtxt reads a subset of what int() and
-    float() accept (ASCII digits, int64 range), to the same values."""
+    """Integers (n_int, k) and floats (k, n_float) of the k rows that one np.loadtxt
+    pass reads from rows, an iterable of lines, skipping blank lines; None when that
+    pass raises, warns or meets a non-finite value.  loadtxt reads a subset of what
+    int() and float() accept (ASCII digits, int64 range), to the same values."""
     dtype = np.dtype([("i", np.int64, (n_int,)), ("x", np.float64, (n_float,))])
     try:
         with warnings.catch_warnings():
@@ -126,7 +157,7 @@ def _load_table(rows, n_int: int, n_float: int):
             table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, Warning):  # loadtxt's conversion and column-count errors
         return None
-    if len(table) != len(rows) or not np.isfinite(table["x"]).all():
+    if not np.isfinite(table["x"]).all():
         return None
     return table["i"].T, table["x"]
 
@@ -270,23 +301,38 @@ class BlockSparseSym:
                 lambda k: ValueError(f"block key ({i[k]},{j[k]}) is not 0 <= i < j < n={n}"))
         _reject(~np.isfinite(B).all(axis=(1, 2)),
                 lambda k: ValueError(f"block ({i[k]},{j[k]}) has non-finite entries"))
-        i, j = i.astype(np.intp), j.astype(np.intp)
-        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-        order = np.argsort(rows.astype(np.int64, copy=False) * n + cols)  # n <= _N_MAX
-        r, c = rows[order], cols[order]  # a pair given twice sorts next to itself, i < j first
-        _reject((r[1:] == r[:-1]) & (c[1:] == c[:-1]),
-                lambda k: ValueError(f"duplicate block ({r[k]},{c[k]})"))
-        kept = np.tile(B.any(axis=(1, 2)), 2)[order]  # exact-zero blocks are dropped
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(r[kept], minlength=n))])
-        data = np.concatenate([B, B.transpose(0, 2, 1)])[order[kept]]
-        self.mat = bsr_matrix((data, c[kept], indptr), shape=(d * n, d * n),
-                              blocksize=(d, d))
-        # The block columns of mat as intp: numpy casts int32 indices at every use.
-        self.cols = self.mat.indices.astype(np.intp, copy=False)
+        m = len(B)
+        i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+        # One sort key r * n + c per stored block (n <= _N_MAX): the input pairs (i, j),
+        # then their transposes (j, i).
+        key = np.empty(2 * m, dtype=np.int64)
+        np.multiply(i, n, out=key[:m])
+        key[:m] += j
+        np.multiply(j, n, out=key[m:])
+        key[m:] += i
+        order = key.argsort()
+        key = key[order]  # a pair given twice sorts next to itself, i < j first
+        _reject(key[1:] == key[:-1],
+                lambda k: ValueError(f"duplicate block ({key[k] // n},{key[k] % n})"))
+        flip = order >= m  # stored as the transpose of its input block
+        p = np.subtract(order, m, out=order, where=flip)  # the input block of each stored block
+        nonzero = B.any(axis=(1, 2))
+        kept = None if nonzero.all() else nonzero[p]  # exact-zero blocks are dropped
+        stored = key if kept is None else key[kept]
+        indptr = np.append(stored.searchsorted(np.arange(n) * n), len(stored))
+        c = np.remainder(key, n, out=key)
         # Each pair adds its nuclear norm (0.0 for a zero block) to both of its columns,
         # in row order whatever the input order (inf past range).
         with np.errstate(over="ignore"):
-            self._col_nuclear = np.bincount(c, np.tile(nuclear_norm(B), 2)[order], minlength=n)
+            self._col_nuclear = np.bincount(c, nuclear_norm(B)[p], minlength=n)
+        if kept is not None:
+            c, p, flip = c[kept], p[kept], flip[kept]
+        data = B[p]
+        if d > 1:
+            data[flip] = data[flip].transpose(0, 2, 1)
+        self.mat = bsr_matrix((data, c, indptr), shape=(d * n, d * n), blocksize=(d, d))
+        # The block columns of mat as intp: numpy casts int32 indices at every use.
+        self.cols = c.astype(np.intp, copy=False)
         self._c1 = float(self._col_nuclear.max())
 
     @property
@@ -362,16 +408,17 @@ def write_bsm(Q: BlockSparseSym, path) -> None:
 
 def read_bsm(path) -> BlockSparseSym:
     """Read a BSM text file; raises ParseError with the offending line number."""
-    lines, (d, n, m) = _read_header(path, "BSM d n m")
-    if d < 1 or n < 1:
-        raise ParseError(path, 1, f"header needs d >= 1 and n >= 1, got d={d}, n={n}")
-    if max(d, n) > _INTP_MAX:
-        raise ParseError(path, 1, f"header d={d}, n={n} exceeds the index range {_INTP_MAX}")
-    if n > _N_MAX:
-        raise ParseError(path, 1, f"header n={n} exceeds the sort-key bound {_N_MAX}")
-    at, (i, j), X = _read_rows(path, lines, 1, 2, d * d, (
-        f"expected 2 indices + {d * d} block entries, got {{got}} fields",
-        "non-numeric field in {line!r}", "non-finite entries in block ({ints[0]},{ints[1]})"))
+    with open(path) as fh:
+        d, n, m = _read_header(path, fh, "BSM d n m")
+        if d < 1 or n < 1:
+            raise ParseError(path, 1, f"header needs d >= 1 and n >= 1, got d={d}, n={n}")
+        if max(d, n) > _INTP_MAX:
+            raise ParseError(path, 1, f"header d={d}, n={n} exceeds the index range {_INTP_MAX}")
+        if n > _N_MAX:
+            raise ParseError(path, 1, f"header n={n} exceeds the sort-key bound {_N_MAX}")
+        lines, at, (i, j), X = _read_rows(path, fh, 1, 2, d * d, (
+            f"expected 2 indices + {d * d} block entries, got {{got}} fields",
+            "non-numeric field in {line!r}", "non-finite entries in block ({ints[0]},{ints[1]})"))
     _reject(~((1 <= i) & (i < j) & (j <= n)), lambda k: ParseError(
         path, at[k], f"indices ({i[k]},{j[k]}) violate 1 <= i < j <= n={n}"))
     try:
@@ -380,7 +427,7 @@ def read_bsm(path) -> BlockSparseSym:
         _reject(_repeats(i, j), lambda k: ParseError(path, at[k], f"duplicate block ({i[k]},{j[k]})"))
         raise
     if len(i) != m:
-        raise ParseError(path, len(lines), f"header declares {m} blocks, file has {len(i)}")
+        raise ParseError(path, lines, f"header declares {m} blocks, file has {len(i)}")
     return Q
 
 
@@ -391,36 +438,36 @@ def read_matrix_market(path):
     offset.  Only 'coordinate real' (general or symmetric) files are accepted.
     """
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ParseError(path, 1, "missing %%MatrixMarket header")
-    head = lines[0].split()
-    if len(head) < 5 or head[1] != "matrix" or head[2] != "coordinate":
-        raise ParseError(path, 1, f"unsupported header {lines[0].strip()!r}")
-    field, symmetry = head[3], head[4]
-    if field not in ("real", "integer"):
-        raise ParseError(path, 1, f"unsupported field type {field!r}")
-    if symmetry not in ("general", "symmetric"):
-        raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError(path, len(lines), "missing size line")
-    size = lines[idx].split()
-    if len(size) != 3:
-        raise ParseError(path, idx + 1, f"bad size line {lines[idx].strip()!r}")
-    try:
-        rows, cols, nnz = (int(v) for v in size)
-    except ValueError:
-        raise ParseError(path, idx + 1, f"non-integer size line {lines[idx].strip()!r}") from None
-    if rows != cols:
-        raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected square")
-    if rows < 1:
-        raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected at least 1x1")
-    at, (i, j), X = _read_rows(path, lines, idx + 1, 2, 1, (
-        "expected 'i j value', got {line!r}", "non-numeric field in {line!r}",
-        "non-finite value {fields[2]!r}"), comment="%")
+        line = fh.readline()
+        if not line.startswith("%%MatrixMarket"):
+            raise ParseError(path, 1, "missing %%MatrixMarket header")
+        head = line.split()
+        if len(head) < 5 or head[1] != "matrix" or head[2] != "coordinate":
+            raise ParseError(path, 1, f"unsupported header {line.strip()!r}")
+        field, symmetry = head[3], head[4]
+        if field not in ("real", "integer"):
+            raise ParseError(path, 1, f"unsupported field type {field!r}")
+        if symmetry not in ("general", "symmetric"):
+            raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
+        idx, line = 1, fh.readline()  # idx lines read before line
+        while line.lstrip().startswith("%"):
+            idx, line = idx + 1, fh.readline()
+        if not line:
+            raise ParseError(path, idx, "missing size line")
+        size = line.split()
+        if len(size) != 3:
+            raise ParseError(path, idx + 1, f"bad size line {line.strip()!r}")
+        try:
+            rows, cols, nnz = (int(v) for v in size)
+        except ValueError:
+            raise ParseError(path, idx + 1, f"non-integer size line {line.strip()!r}") from None
+        if rows != cols:
+            raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected square")
+        if rows < 1:
+            raise ParseError(path, idx + 1, f"matrix is {rows}x{cols}, expected at least 1x1")
+        lines, at, (i, j), X = _read_rows(path, fh, idx + 1, 2, 1, (
+            "expected 'i j value', got {line!r}", "non-numeric field in {line!r}",
+            "non-finite value {fields[2]!r}"), comment="%")
     i, j = i - 1, j - 1
     _reject(~((0 <= i) & (i < rows) & (0 <= j) & (j < rows)),
             lambda k: ParseError(path, at[k], f"indices out of range for n={rows}"))
@@ -429,7 +476,7 @@ def read_matrix_market(path):
     _reject(_repeats(*((np.minimum(i, j), np.maximum(i, j)) if symmetric else (i, j))),
             lambda k: ParseError(path, at[k], f"duplicate entry ({i[k] + 1},{j[k] + 1})"))
     if len(i) != nnz:
-        raise ParseError(path, len(lines), f"size line declares {nnz} entries, file has {len(i)}")
+        raise ParseError(path, lines, f"size line declares {nnz} entries, file has {len(i)}")
     if symmetric:
         off = i != j
         i, j, X = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[X, X[off]]

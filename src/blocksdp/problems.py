@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .blockmat import (_N_MAX, BlockSparseSym, ParseError, _int_array, _read_rows, _reject,
                        _repeats, read_bsm, read_matrix_market)
@@ -86,6 +85,9 @@ def _noise_rotation(d: int, sigma: float, rng: np.random.Generator) -> np.ndarra
 
 
 def _is_connected(n: int, pairs) -> bool:
+    # Imported on use: loading csgraph costs a process about 1 MB that only this needs.
+    from scipy.sparse.csgraph import connected_components
+
     if not pairs:
         return n == 1
     rows = [i for i, _ in pairs] + [j for _, j in pairs]
@@ -162,10 +164,9 @@ def ground_truth_blocks(inst: SyncInstance):
 def read_edgelist(path) -> BlockSparseSym:
     """d=1 Q_ij = w_ij of 'i j w' lines (1-based, '#' lines skipped); n is the largest index."""
     with open(path) as fh:
-        lines = fh.readlines()
-    at, (i, j), w = _read_rows(path, lines, 0, 2, 1, (
-        "expected 'i j w', got {line!r}", "non-numeric field in {line!r}",
-        "non-finite weight {fields[2]!r}"), comment="#")
+        _, at, (i, j), w = _read_rows(path, fh, 0, 2, 1, (
+            "expected 'i j w', got {line!r}", "non-numeric field in {line!r}",
+            "non-finite weight {fields[2]!r}"), comment="#")
     _reject(i == j, lambda k: ParseError(path, at[k], f"self-loop on vertex {i[k]}"))
     _reject((i < 1) | (j < 1),
             lambda k: ParseError(path, at[k], f"indices must be >= 1, got ({i[k]},{j[k]})"))

@@ -113,12 +113,31 @@ def compute_gcache(blocks, Q: BlockSparseSym) -> np.ndarray:
     return np.ascontiguousarray(GT.reshape(Q.n, Q.d, -1).transpose(0, 2, 1))
 
 
+# Stored blocks per chunk of evaluate_cost: its temporaries stay near
+# _COST_CHUNK * r * d floats whatever the size of Q.
+_COST_CHUNK = 1 << 12
+
+
 def evaluate_cost(blocks, Q: BlockSparseSym) -> float:
-    """F(Y) = tr(Q Y^T Y) = 2 sum_{i<j} <Y_j^T Y_i, Q_[i,j]^T>, summed in pair order."""
+    """F(Y) = tr(Q Y^T Y) = 2 sum_{i<j} <Y_j^T Y_i, Q_[i,j]^T>, summed in pair order.
+
+    The pair terms are written into one array, a chunk of stored blocks of Q at a
+    time (the pairs i < j among them), and then summed in sequence."""
     Y = np.asarray(blocks, dtype=float)
-    i, j, B = Q.upper()
-    terms = np.sum((np.swapaxes(Y[j], 1, 2) @ Y[i]) * np.swapaxes(B, 1, 2), axis=(1, 2))
-    return 2.0 * float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+    indptr, stored = Q.mat.indptr, len(Q.cols)
+    terms = np.zeros(Q.num_blocks + 1)  # terms[0] = 0.0 starts the sum
+    filled = 1
+    for s in range(0, stored, _COST_CHUNK):
+        e = min(s + _COST_CHUNK, stored)
+        a, b = indptr.searchsorted([s, e - 1], side="right") - 1  # the rows of blocks s, e - 1
+        i = np.repeat(np.arange(a, b + 1), np.diff(indptr[a:b + 2].clip(s, e)))
+        j = Q.cols[s:e]
+        up = j > i
+        i, j, B = i[up], j[up], Q.mat.data[s:e][up]
+        terms[filled:filled + len(B)] = np.sum((np.swapaxes(Y[j], 1, 2) @ Y[i])
+                                               * np.swapaxes(B, 1, 2), axis=(1, 2))
+        filled += len(B)
+    return 2.0 * float(np.cumsum(terms, out=terms)[-1])
 
 
 @dataclass
@@ -204,14 +223,15 @@ def read_yfactor(path, reproject: bool = True) -> np.ndarray:
     are re-projected onto the manifold (text round-trips lose digits); pass
     reproject=False to get the raw file contents.
     """
-    lines, (r, d, n) = _read_header(path, "YFACTOR r d n")
-    if not (1 <= d <= r and n >= 1):
-        raise ParseError(path, 1, f"header needs 1 <= d <= r and n >= 1, got r={r}, d={d}, n={n}")
-    at, _, Y = _read_rows(path, lines, 1, 0, d, (
-        f"expected {d} values per row, got {{got}}", "non-numeric value in {line!r}",
-        "non-finite value in {line!r}"))
+    with open(path) as fh:
+        r, d, n = _read_header(path, fh, "YFACTOR r d n")
+        if not (1 <= d <= r and n >= 1):
+            raise ParseError(path, 1, f"header needs 1 <= d <= r and n >= 1, got r={r}, d={d}, n={n}")
+        lines, at, _, Y = _read_rows(path, fh, 1, 0, d, (
+            f"expected {d} values per row, got {{got}}", "non-numeric value in {line!r}",
+            "non-finite value in {line!r}"))
     if len(Y) != r * n:
-        raise ParseError(path, len(lines), f"expected {r * n} data rows, found {len(Y)}")
+        raise ParseError(path, lines, f"expected {r * n} data rows, found {len(Y)}")
     Y = Y.reshape(n, r, d)
     if reproject:
         for b in np.flatnonzero(~is_orthonormal(Y)):

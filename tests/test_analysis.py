@@ -13,7 +13,7 @@ from blocksdp import (BlockSparseSym, FactorPoint, SolverConfig, build_certifica
                       grad_norm_sq_fast, iteration_bound, nuclear_norm,
                       riemannian_grad_oracle, sdp_lift_check, solve, sym_coupling,
                       sync_to_Q)
-from blocksdp.bcm import bcm_step, init_state, sample_block
+from blocksdp.bcm import bcm_step, check_bound_args, init_state, sample_block
 
 
 def test_grad_norm_sq_examples():
@@ -133,6 +133,13 @@ def test_bound_validation():
         for fstar in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="fstar must be a number below inf"):
                 iteration_bound(tri, sampling, 0.0, fstar, 1.0)
+            with pytest.raises(ValueError, match="fstar must be a number below inf"):
+                check_bound_args(fstar, 1.0)
+        # -inf bounds nothing: refused up front; iteration_bound refuses its infinite K.
+        with pytest.raises(ValueError, match="fstar must be finite to bound the iterations"):
+            check_bound_args(float("-inf"), 1.0)
+        with pytest.raises(ValueError, match="set an explicit cap"):
+            iteration_bound(tri, sampling, 0.0, float("-inf"), 1.0)
         # f0 below fstar counts as fstar: no gap, no iterations.
         assert iteration_bound(tri, sampling, -1.0, 0.0, 1.0) == 0
 

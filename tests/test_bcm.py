@@ -588,6 +588,9 @@ IMPORTANCE = {"sampling": "importance"}
     (1, 2, {**IMPORTANCE, "check_period": 30, "grad_tol": 1e-6, "log_every": 5,
             "return_best": True}, "tolerance"),
     (2, 3, {**IMPORTANCE, "check_period": 30, "refresh_period": 70, "grad_tol": 1e-6}, "tolerance"),
+    # Checked at every step, so every run is one step, logged or skipped whole.
+    (1, 2, {"check_period": 1, "log_every": 2, "max_iters": 201}, "max_iters"),
+    (2, 3, {**IMPORTANCE, "check_period": 1, "log_every": 3, "max_iters": 301}, "max_iters"),
 ])
 def test_solve_matches_one_step_per_iteration_loop(d, rank, kwargs, termination):
     rng = np.random.default_rng(50 + d)

@@ -186,15 +186,17 @@ def test_tolerances_that_are_not_positive_numbers_are_refused(tmp_path, capsys, 
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("fstar", ["nan", "inf"])
+@pytest.mark.parametrize("fstar", ["nan", "inf", "-inf"])
 def test_bench_refuses_fstar_before_any_solve(tmp_path, capsys, monkeypatch, fstar):
+    # -inf is a valid lower bound, but it bounds no iteration count, cap or not.
     inst = write_triangle(tmp_path)
     solves = []
     monkeypatch.setattr(blocksdp.bcm, "solve", lambda *a, **k: solves.append(a))
     code, out, err = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
-                                  "--fstar", fstar, "--trials", "5"])
+                                  f"--fstar={fstar}", "--trials", "5", "--max-iters", "100"])
     assert (code, out, solves) == (1, "", [])
-    assert err == f"error: lower bound fstar must be a number below inf, got {fstar}\n"
+    rule = "must be finite to bound the iterations" if fstar == "-inf" else "must be a number below inf"
+    assert err == f"error: lower bound fstar {rule}, got {fstar}\n"
 
 
 def test_non_finite_solution_file_is_a_parse_error(tmp_path, capsys):

@@ -6,7 +6,9 @@ Writing a random instance or solution and reading it back gives it exactly.
 The one-pass conversion and the row reader read every text alike.
 """
 
+import os
 import tempfile
+import threading
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -219,7 +221,10 @@ def one_pass_outcomes():
 
 
 def arrays_bytes(*arrays):
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+    """dtype, shape and contents of each array: its bytes, or for an array of Python
+    ints (past int64) their values, since its bytes are the ints' addresses."""
+    return [(a.dtype.str, a.shape, a.tolist() if a.dtype == object else a.tobytes())
+            for a in map(np.asarray, arrays)]
 
 
 def outcome(read, path):
@@ -321,13 +326,13 @@ def test_one_pass_and_row_reader_give_the_same_result(scratch, case):
 def test_one_pass_and_row_reader_read_the_same_rows(scratch, data, n_int, n_float, comment):
     path = scratch / "rows.txt"
     path.write_bytes(data.draw(rows_text(n_int, n_float, comment)).encode())
-    lines = open(path).readlines()
     messages = ("{got} fields: {fields} in {line!r}", "bad {line!r}", "non-finite {ints} {fields}")
 
     def read():
         try:
-            return arrays_bytes(*blockmat._read_rows(path, lines, 0, n_int, n_float, messages,
-                                                     comment or ()))
+            with open(path) as fh:
+                return arrays_bytes(*blockmat._read_rows(path, fh, 0, n_int, n_float, messages,
+                                                         comment or ()))
         except ParseError as exc:
             return exc.path, exc.lineno, str(exc)
 
@@ -381,3 +386,93 @@ def test_written_files_take_the_one_pass(scratch):
         read_bsm(scratch / "w.bsm")
         read_yfactor(scratch / "w.yf")
     assert len(seen) == 2 and None not in seen
+
+
+# Each format fed a blank line, a comment line where it has one, CRLF endings,
+# no final newline, and a faulty row or a faulty value after a blank line.  The
+# pass over the open file accepts the line-list reader's arrays and raises its
+# ParseError, line number included; a blank line, CRLF endings and a missing
+# final newline leave the file to that one pass.
+EDGE_FORMATS = {  # header, rows, comment prefix, reader, (rows, line, error) x 2
+    "bsm": ("BSM 1 4 3", ["1 2 1.0", "1 3 2.0", "2 4 -0.5"], None, read_bsm,
+            (["1 2 1.0", "", "1 x 2.0", "2 4 -0.5"], 4, "non-numeric field in '1 x 2.0'"),
+            (["1 2 1.0", "", "3 2 2.0", "2 4 -0.5"], 4, "indices (3,2) violate 1 <= i < j <= n=4")),
+    "mtx": ("%%MatrixMarket matrix coordinate real general\n% by hand\n4 4 3",
+            ["1 2 1.0", "3 1 2.0", "2 4 -0.5"], "%", read_matrix_market,
+            (["1 2 1.0", "", "3 x 2.0", "2 4 -0.5"], 6, "non-numeric field in '3 x 2.0'"),
+            (["1 2 1.0", "", "5 1 2.0", "2 4 -0.5"], 6, "indices out of range for n=4")),
+    "edges": ("", ["1 2 1.0", "3 2 2.0", "2 4 -0.5"], "#", read_edgelist,
+              (["1 2 1.0", "", "3 x 2.0", "2 4 -0.5"], 3, "non-numeric field in '3 x 2.0'"),
+              (["1 2 1.0", "", "2 2 2.0", "2 4 -0.5"], 3, "self-loop on vertex 2")),
+    "yfactor": ("YFACTOR 2 1 2", ["1.0", "0.0", "0.6", "0.8"], None, read_yfactor,
+                (["1.0", "", "x", "0.6", "0.8"], 4, "non-numeric value in 'x'"),
+                (["1.0", "", "0.0", "0.0", "0.0"], 5,
+                 "block 2: cannot project rank-deficient matrix: 1 of 1 columns deficient")),
+}
+
+
+def edge_text(head, rows, end="\n", final=True):
+    return end.join(([head] if head else []) + rows) + (end if final else "")
+
+
+@pytest.mark.parametrize("kind,variant", [
+    (kind, variant) for kind in sorted(EDGE_FORMATS)
+    for variant in ("blank", "comment", "crlf", "no-final-newline", "bad-row-after-blank",
+                    "bad-value-after-blank") if variant != "comment" or EDGE_FORMATS[kind][2]])
+def test_file_pass_reads_edge_cases_as_the_line_list_does(scratch, kind, variant):
+    head, rows, comment, read, bad_row, bad_value = EDGE_FORMATS[kind]
+    error = {"bad-row-after-blank": bad_row, "bad-value-after-blank": bad_value}.get(variant)
+    text = {"blank": lambda: edge_text(head, [rows[0], "", *rows[1:]]),
+            "comment": lambda: edge_text(head, [rows[0], f"{comment} note", *rows[1:]]),
+            "crlf": lambda: edge_text(head.replace("\n", "\r\n"), rows, end="\r\n"),
+            "no-final-newline": lambda: edge_text(head, rows, final=False)}.get(
+                variant, lambda: edge_text(head, error[0]))()
+    path = scratch / f"edge-{variant}.{kind}"
+    path.write_bytes(text.encode())
+    with one_pass_outcomes() as seen:
+        fast = outcome(read, path)
+    with row_reader_only():
+        assert outcome(read, path) == fast
+    if error is not None:
+        _, line, message = error
+        assert fast[1:] == (line, f"{path}:{line}: {message}")
+        return
+    clean = scratch / f"edge-clean.{kind}"
+    clean.write_text(edge_text(head, rows))
+    assert fast == outcome(read, clean)
+    if variant != "comment":  # a comment line sends the file to the line list
+        assert len(seen) == 1 and seen[0] is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("kind", sorted(EDGE_FORMATS))
+def test_a_pipe_reads_as_a_file(tmp_path, kind):
+    # A pipe is read once, so its blank lines and faults are found without a second read.
+    head, rows, _, read, _, bad_value = EDGE_FORMATS[kind]
+    for k, body in enumerate([[rows[0], "", *rows[1:]], bad_value[0]]):
+        text = edge_text(head, body)
+        path, fifo = tmp_path / f"file{k}.{kind}", tmp_path / f"pipe{k}.{kind}"
+        path.write_text(text)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        got = outcome(read, fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert repr(got).replace(str(fifo), str(path)) == repr(outcome(read, path))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rows=st.lists(st.tuples(st.sampled_from(["", " ", "1", " 2.5 ", "-3"]),
+                               st.sampled_from(["\n", "\r", "\r\n"])), max_size=12),
+       final=st.booleans(), batch=st.integers(1, 8))
+def test_file_pass_counts_and_numbers_lines_as_text_mode_does(scratch, rows, final, batch):
+    path = scratch / "count.txt"
+    path.write_bytes("".join(row + end for row, end in rows)[:None if final else -1].encode())
+    with open(path) as fh:
+        lines = fh.readlines()
+    numbered = [k + 1 for k, line in enumerate(lines) if line.strip()]
+    # Batches of a few characters split the lines, and CRLF pairs, across reads.
+    with mock.patch.object(blockmat, "_BATCH_CHARS", batch), open(path) as fh:
+        count, at, _, x = blockmat._read_rows(path, fh, 0, 0, 1, ("{got}", "{line}", "{line}"))
+    assert (count, list(at), len(x)) == (len(lines), numbered, len(numbered))

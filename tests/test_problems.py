@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +133,17 @@ def test_rotsync_parameter_validation():
         generate_rotsync(5, 2, 0.5, -0.1, seed=0)
     with pytest.raises(ValueError, match="connected"):
         generate_rotsync(40, 2, 0.01, 0.0, seed=0, max_attempts=3)
+
+
+def test_import_leaves_csgraph_to_the_rotsync_generator():
+    # scipy.sparse.csgraph costs every process about 1 MB; only generate_rotsync loads it.
+    probe = ("import sys, blocksdp; loaded = 'scipy.sparse.csgraph' in sys.modules; "
+             "blocksdp.generate_rotsync(4, 2, 1.0, 0.0, seed=1); "
+             "print(loaded, 'scipy.sparse.csgraph' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_noiseless_ground_truth_attains_minus_d_edges():
