@@ -77,7 +77,6 @@ class SolverConfig:
     refresh_period: int | None = None
     seed: int = 0
     log_every: int = 1
-    return_best: bool = False
     stall_rtol: float = STALL_RTOL
 
     def validate(self, Q: BlockSparseSym) -> None:
@@ -316,16 +315,17 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
 
 def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> list:
     """bcm_step at each block of a conflict-free run (distinct blocks, no two
-    adjacent in Q): one batched SVD, the neighbour updates added in run order
-    by one np.add.at and the cost accumulated in sequence, bit-identical to
-    one bcm_step per block.  Runs shorter than RUN_BATCH_MIN, runs whose
-    steps would fail (they raise as bcm_step does) and weighted states take
-    bcm_step.  Returns (cost_before, pred, meas) per step.
+    adjacent in Q): one batched SVD (a QR at d = 1, see minimize_nonzero),
+    the neighbour updates added in run order by one np.add.at and the cost
+    accumulated in sequence, bit-identical to one bcm_step per block.  Runs
+    shorter than RUN_BATCH_MIN, runs whose steps would fail (they raise as
+    bcm_step does) and weighted states take bcm_step.  Returns (cost_before,
+    pred, meas) per step.
     """
     point = state.point
     if len(run) >= RUN_BATCH_MIN and state.weights is None and point.gcache.flags.c_contiguous:
         G = point.gcache[run]
-        live = G.any(axis=(1, 2))  # a zero G_i makes its step a no-op; the SVD skips it
+        live = G.any(axis=(1, 2))  # a zero G_i makes its step a no-op; the minimizer skips it
         if np.isfinite(G).all():
             i, G = np.array(run)[live], G[live]
             Y_old = point.blocks[i]
@@ -474,7 +474,6 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
     records = RunLog()
     best_gradsq = float("inf")
     best_k = -1
-    best_point = None
     max_drift = 0.0
     final_gradsq = None
     reason = None
@@ -489,9 +488,6 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
             if gradsq_here < best_gradsq:
                 best_gradsq = gradsq_here
                 best_k = state.k
-                if config.return_best:
-                    best_point = FactorPoint(point.blocks.copy(), point.gcache.copy(),
-                                             point.cost)
             if gradsq_here <= config.grad_tol:
                 reason, final_gradsq = "tolerance", gradsq_here
                 break
@@ -522,10 +518,9 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
         final_gradsq = grad_norm_sq_fast(point)
     if final_gradsq < best_gradsq:
         best_gradsq, best_k = final_gradsq, state.k
-        best_point = None  # final point is the best; report it directly
 
     return RunReport(
-        point=point if best_point is None else best_point,
+        point=point,
         iterations=state.k,
         final_cost=point.cost,
         final_grad_norm_sq=final_gradsq,

@@ -67,8 +67,7 @@ def cmd_solve(args) -> int:
         rank=args.rank, sampling=args.sampling, grad_tol=args.tol,
         max_iters=args.max_iters, check_period=args.check_period,
         refresh_period=args.refresh_period, seed=args.seed,
-        log_every=args.log_every, return_best=args.return_best,
-        stall_rtol=args.stall_rtol)
+        log_every=args.log_every, stall_rtol=args.stall_rtol)
     warm = read_yfactor(args.warm_start) if args.warm_start else None
     report = bcm.solve(Q, config, warm_start=warm)
     if args.solution:
@@ -247,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--refresh-period", type=int, default=None)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--log-every", type=int, default=1)
-    ps.add_argument("--return-best", action="store_true",
-                    help="report the best-gradient iterate instead of the last")
     ps.add_argument("--stall-rtol", type=float, default=bcm.STALL_RTOL,
                     help="relative cost-change threshold for stall detection")
     ps.add_argument("--warm-start", default=None, help="YFACTOR file to start from")

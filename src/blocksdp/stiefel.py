@@ -9,6 +9,12 @@ G_i = sum_{j != i} Y_j Q_[j,i] in a second (n, r, d) array and the cost
 F(Y) = tr(Q Y^T Y) = sum_i <G_i, Y_i>.  Block row i of the product
 Q [Y_1 ... Y_n]^T is G_i^T, so all couplings come from one sparse product.
 
+The block minimizer and the projection take U V^T from the thin SVD.  A
+stack of one-column blocks (k, r, 1) whose every max-abs entry lies in
+[2^-459, 2^459] takes LAPACK's Householder QR instead: for such a column
+dgesdd is that QR followed by the SVD of the 1 x 1 factor R, so the QR
+alone gives the SVD's own bytes (see _column_frames).
+
 Solution text format (YFACTOR):
 
     YFACTOR r d n
@@ -43,21 +49,64 @@ def is_orthonormal(M: np.ndarray, tol: float = FEASIBILITY_TOL):
 
 def project_stiefel(M: np.ndarray) -> np.ndarray:
     """Closest matrix with orthonormal columns, U V^T from the thin SVD; for a
-    stack (k, r, d), that of each matrix, from one batched SVD.
+    stack (k, r, d), that of each matrix, from one batched SVD or, when d = 1
+    and every max-abs entry lies in [2^-459, 2^459], from one batched QR with
+    the same bytes (_column_frames).
 
     Raises ValueError for rank-deficient input (the projection is then not
     unique), naming the number of deficient columns and, in a stack, the
     first deficient matrix.
     """
     M = np.asarray(M, dtype=float)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    Y, s = _polar_factor(M)
     deficient = (s <= 1e-12 * np.maximum(1.0, s[..., :1])).sum(axis=-1)
     if deficient.any():
         k = int(np.flatnonzero(deficient)[0])
         which = f" {k}" if M.ndim > 2 else ""
         raise ValueError(f"cannot project rank-deficient matrix{which}: "
                          f"{deficient.flat[k]} of {M.shape[-1]} columns deficient")
-    return U @ Vt
+    return Y
+
+
+def _polar_factor(M: np.ndarray):
+    """U V^T and the singular values of M, or of each matrix of a stack, as
+    np.linalg.svd gives them: from one batched SVD or, for a stack of columns
+    that _column_frames takes, from one batched QR with the same bytes."""
+    frames = _column_frames(M)
+    if frames is not None:
+        return frames
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return U @ Vt, s
+
+
+# dgesdd's SMLNUM = sqrt(dlamch('S')) / dlamch('P') and BIGNUM = 1 / SMLNUM: it
+# rescales a matrix whose max-abs entry lies outside [SMLNUM, BIGNUM] first.
+_QR_RANGE = (2.0 ** -459, 2.0 ** 459)
+
+
+def _column_frames(A: np.ndarray):
+    """U V^T and the singular values (k, 1) of each matrix of a stack A (k, r, 1),
+    k >= 1, from one batched Householder QR, bit for bit np.linalg.svd's; None
+    for any other input or when a matrix's max-abs entry lies outside _QR_RANGE.
+
+    Within that range dgesdd (jobz='S', M >= N = 1) is dgeqrf + dorgqr and the
+    SVD of the 1 x 1 factor R: U = sign(R_11) Q, V^T = 1 and sigma = |R_11|.
+    np.linalg.qr(mode="raw") runs the same dgeqrf and leaves R_11 = beta and
+    the reflector's tail in h[:, 0], so dorg2r's column is
+    q = [1 - tau, -tau h[:, 0, 1:]].  The + 0.0 gives the SVD's +0.0 where q
+    holds -0.0 (U V^T is a product that starts from +0.0).  A single block is
+    left to the SVD, the faster call for one matrix.
+    """
+    if A.ndim != 3 or A.shape[2] != 1 or not len(A):
+        return None
+    m = np.abs(A).max(axis=1)
+    if not (_QR_RANGE[0] <= m.min() and m.max() <= _QR_RANGE[1]):  # NaN fails too
+        return None
+    h, tau = np.linalg.qr(A, mode="raw")
+    beta = h[:, 0, :1]
+    q = h[:, 0] * -tau
+    q[:, 0] = 1.0 - tau[:, 0]
+    return (np.sign(beta) * q + 0.0)[:, :, None], np.abs(beta)
 
 
 def block_minimize(G: np.ndarray, current: np.ndarray | None = None):
@@ -89,9 +138,11 @@ def check_coupling(G: np.ndarray) -> None:
 def minimize_nonzero(G: np.ndarray):
     """block_minimize of a finite G with a nonzero entry, or a stack of them,
     unchecked: the minimizer U V^T from the thin SVD of -G and ||G||_*, the
-    sum of the singular values (as an array: one per matrix of a stack)."""
-    U, s, Vt = np.linalg.svd(-G, full_matrices=False)
-    return U @ Vt, s.sum(axis=-1)
+    sum of the singular values (as an array: one per matrix of a stack).  A
+    stack with d = 1 whose max-abs entries lie in [2^-459, 2^459] takes one
+    batched QR instead of the SVD, with the same bytes (_column_frames)."""
+    Y, s = _polar_factor(-G)
+    return Y, s.sum(axis=-1)
 
 
 def sym_coupling(Y: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -167,7 +167,7 @@ def reference_solve(Q, config):
     refresh_period = config.refresh_period or 10 * n
     max_iters = config.max_iters or iteration_bound(Q, config.sampling, f0, -Q.c2(),
                                                     config.grad_tol)
-    records, best_gradsq, best_k, best_point, max_drift = [], float("inf"), -1, None, 0.0
+    records, best_gradsq, best_k, max_drift = [], float("inf"), -1, 0.0
     final_gradsq = None
     while True:
         gradsq_here = None
@@ -176,9 +176,6 @@ def reference_solve(Q, config):
             gradsq_here = grad_norm_sq_fast(point)
             if gradsq_here < best_gradsq:
                 best_gradsq, best_k = gradsq_here, state.k
-                if config.return_best:
-                    best_point = FactorPoint(point.blocks.copy(), point.gcache.copy(),
-                                             point.cost)
             if gradsq_here <= config.grad_tol:
                 reason, final_gradsq = "tolerance", gradsq_here
                 break
@@ -208,8 +205,8 @@ def reference_solve(Q, config):
     if final_gradsq is None:
         final_gradsq = grad_norm_sq_fast(point)
     if final_gradsq < best_gradsq:
-        best_gradsq, best_k, best_point = final_gradsq, state.k, None
-    return RunReport(point if best_point is None else best_point, state.k, point.cost,
+        best_gradsq, best_k = final_gradsq, state.k
+    return RunReport(point, state.k, point.cost,
                      final_gradsq, reason, records, f0, best_gradsq, best_k, max_drift, 0)
 
 

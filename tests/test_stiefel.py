@@ -9,6 +9,7 @@ from blocksdp import (BlockSparseSym, FactorPoint, ParseError, block_minimize,
                       compute_gcache, evaluate_cost, feasibility_residual,
                       is_orthonormal, nuclear_norm, project_stiefel, read_yfactor,
                       riemannian_grad_oracle, write_yfactor)
+from blocksdp.stiefel import _column_frames, minimize_nonzero
 
 
 def test_project_identity_and_scalar():
@@ -76,6 +77,56 @@ def test_block_minimize_stack_equals_one_call_per_matrix(r, d):
         assert Y[k].tobytes() == Y_k.tobytes() and achieved[k] == achieved_k
     with pytest.raises(ValueError, match="non-finite"):
         block_minimize(np.where(np.arange(9)[:, None, None] == 4, np.nan, G))
+
+
+def svd_frames(M):
+    """U V^T and the singular values from np.linalg.svd, the reference."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return U @ Vt, s
+
+
+def assert_svd_bytes(A):
+    """minimize_nonzero and project_stiefel of a stack give np.linalg.svd's bytes,
+    or the projection raises, naming the first matrix that is rank-deficient."""
+    Y, nuc = minimize_nonzero(A)
+    want_Y, want_s = svd_frames(-A)
+    assert Y.tobytes() == want_Y.tobytes() and nuc.tobytes() == want_s.sum(axis=-1).tobytes()
+    want_Y, want_s = svd_frames(A)
+    small = np.flatnonzero(want_s[:, 0] <= 1e-12)
+    if small.size:
+        with pytest.raises(ValueError, match=rf"matrix {small[0]}: 1 of 1 columns deficient"):
+            project_stiefel(A)
+    else:
+        assert project_stiefel(A).tobytes() == want_Y.tobytes()
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+@pytest.mark.parametrize("k", [1, 4, 27])
+def test_column_stacks_match_the_svd_byte_for_byte(r, k):
+    rng = np.random.default_rng(10 * r + k)
+    M = rng.standard_normal((k, r, 1))
+    if r > 1 and k > 1:
+        M[0, 0] = 0.0  # a zero first entry
+        M[1, 1:] = 0.0  # zero below the first entry: the QR's -0.0 must read +0.0
+    M /= np.abs(M).max(axis=1, keepdims=True)  # max-abs entry 1 in every column
+    for e in [-459, *range(-450, 451, 50), 459]:  # the QR range is [2^-459, 2^459]
+        A = M * 2.0 ** e
+        Y, sigma = _column_frames(A)  # the QR path is taken
+        want_Y, want_s = svd_frames(A)
+        assert Y.tobytes() == want_Y.tobytes() and sigma.tobytes() == want_s.tobytes()
+        assert_svd_bytes(A)
+    # One matrix past either end of the range sends the whole stack to the SVD.
+    for e in (-460, 460):
+        A = M.copy()
+        A[k // 2] *= 2.0 ** e
+        assert _column_frames(A) is None
+        assert_svd_bytes(A)
+    if k > 1:
+        A = M.copy()
+        A[k - 1] = 0.0
+        assert _column_frames(A) is None
+        with pytest.raises(ValueError, match=rf"matrix {k - 1}: 1 of 1 columns deficient"):
+            project_stiefel(A)
 
 
 def test_block_minimize_beats_random_candidates():
