@@ -38,8 +38,7 @@ import numpy as np
 
 from .analysis import grad_norm_sq_fast
 from .blockmat import BlockSparseSym, column_norms, nuclear_norm
-from .stiefel import (FactorPoint, block_minimize, check_coupling, minimize_nonzero,
-                      project_stiefel)
+from .stiefel import FactorPoint, block_minimize, project_stiefel
 
 # Relative per-step cost change below which an iteration counts as stalled.
 STALL_RTOL = 1e-14
@@ -279,19 +278,17 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     measured 2 <G, Y_new - Y_old>.  Couplings G_j change only for the
     neighbors j in block row i_k of Q: G_j += (Y_new - Y_old) Q_[i_k,j],
     and with them their importance weights ||G_j||_*.  A zero G_i makes the
-    step a no-op; a non-finite one raises ValueError, a non-finite cost or
-    block NumericalError (after the update).  The one step of the solver:
-    every importance step and every short uniform run takes it.
+    step a no-op; a non-finite one raises ValueError (block_minimize), a
+    non-finite cost or block NumericalError (after the update).  The one
+    step of the solver: every importance step and every short uniform run
+    takes it.
     """
     point = state.point
     G, Y_old = point.gcache[i_k], point.blocks[i_k]
     if not np.count_nonzero(G):
         return 0.0, 0.0
+    Y_new, nuc = block_minimize(G)
     inner_old = float(np.vdot(G, Y_old))
-    if not math.isfinite(inner_old):  # so it is for every non-finite G
-        check_coupling(G)
-    Y_new, nuc = minimize_nonzero(G)
-    nuc = float(nuc)
     inner_new = float(np.vdot(G, Y_new))
     pred = -2.0 * (nuc + inner_old)
     meas = 2.0 * (inner_new - inner_old)
@@ -315,23 +312,27 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
 
 def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> list:
     """bcm_step at each block of a conflict-free run (distinct blocks, no two
-    adjacent in Q): one batched SVD (a QR at d = 1, see minimize_nonzero),
-    the neighbour updates added in run order by one np.add.at and the cost
-    accumulated in sequence, bit-identical to one bcm_step per block.  Runs
-    shorter than RUN_BATCH_MIN, runs whose steps would fail (they raise as
-    bcm_step does) and weighted states take bcm_step.  Returns (cost_before,
-    pred, meas) per step.
+    adjacent in Q): one block_minimize of the run's nonzero couplings (one
+    batched SVD, a QR at d = 1), the neighbour updates added in run order by
+    one np.add.at and the cost accumulated in sequence, bit-identical to one
+    bcm_step per block.  Runs shorter than RUN_BATCH_MIN, runs whose steps
+    would fail (block_minimize refuses a non-finite coupling before anything
+    is applied, and the steps raise as bcm_step does) and weighted states
+    take bcm_step.  Returns (cost_before, pred, meas) per step.
     """
     point = state.point
     if len(run) >= RUN_BATCH_MIN and state.weights is None and point.gcache.flags.c_contiguous:
         G = point.gcache[run]
         live = G.any(axis=(1, 2))  # a zero G_i makes its step a no-op; the minimizer skips it
-        if np.isfinite(G).all():
-            i, G = np.array(run)[live], G[live]
+        i, G = np.array(run)[live], G[live]
+        try:
+            Y_new, nuc = block_minimize(G)
+        except ValueError:  # a non-finite coupling: the steps raise at its block
+            pass
+        else:
             Y_old = point.blocks[i]
-            Y_new, achieved = block_minimize(G)
             inner_old = _vdots(G, Y_old)
-            pred = -2.0 * (-achieved + inner_old)
+            pred = -2.0 * (nuc + inner_old)
             meas = 2.0 * (_vdots(G, Y_new) - inner_old)
             cost = np.cumsum(np.concatenate([[point.cost], pred]))
             if np.isfinite(cost).all() and np.isfinite(Y_new).all():

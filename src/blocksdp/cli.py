@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -155,11 +155,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bench_trial(Q, rank, sampling, seed, eps, max_iters):
-    config = bcm.SolverConfig(rank=rank, sampling=sampling, grad_tol=eps,
-                              max_iters=max_iters, check_period=1, seed=seed,
-                              log_every=max(1, Q.n))
-    report = bcm.solve(Q, config)
+def _bench_trial(Q, config, sampling, seed):
+    report = bcm.solve(Q, replace(config, sampling=sampling, seed=seed))
     return {"scheme": sampling, "seed": seed, "f0": report.f0,
             "iters_to_eps": report.iterations if report.termination == "tolerance" else None,
             "final_cost": report.final_cost, "termination": report.termination}
@@ -193,10 +190,13 @@ def cmd_bench(args) -> int:
     if args.fstar is not None:  # refused here, not after the trials
         bcm.check_bound_args(args.fstar, args.tol)
     Q, offset, fmt = _load_instance(args.input, args.format)
+    config = bcm.SolverConfig(rank=args.rank, grad_tol=args.tol, max_iters=args.max_iters,
+                              check_period=1, log_every=max(1, Q.n))
+    config.validate(Q)  # refused here, not after _resolve_fstar's full-rank solve
     fstar, fstar_source = _resolve_fstar(Q, args.rank, args.fstar)
     seed_rng = np.random.default_rng(args.seed)
     trial_seeds = [int(s) for s in seed_rng.integers(0, 2 ** 62, size=args.trials)]
-    rows = [_bench_trial(Q, args.rank, scheme, seed, args.tol, args.max_iters)
+    rows = [_bench_trial(Q, config, scheme, seed)
             for scheme in bcm.SAMPLING_SCHEMES for seed in trial_seeds]
 
     for row in rows:

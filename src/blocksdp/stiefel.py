@@ -9,11 +9,13 @@ G_i = sum_{j != i} Y_j Q_[j,i] in a second (n, r, d) array and the cost
 F(Y) = tr(Q Y^T Y) = sum_i <G_i, Y_i>.  Block row i of the product
 Q [Y_1 ... Y_n]^T is G_i^T, so all couplings come from one sparse product.
 
-The block minimizer and the projection take U V^T from the thin SVD.  A
-stack of one-column blocks (k, r, 1) whose every max-abs entry lies in
-[2^-459, 2^459] takes LAPACK's Householder QR instead: for such a column
-dgesdd is that QR followed by the SVD of the 1 x 1 factor R, so the QR
-alone gives the SVD's own bytes (see _column_frames).
+block_minimize is the one block minimizer: every step, single or batched,
+calls it, and it refuses a non-finite coupling before its SVD.  It and the
+projection take U V^T from the thin SVD.  A stack of one-column blocks
+(k, r, 1) whose every max-abs entry lies in [2^-459, 2^459] takes LAPACK's
+Householder QR instead: for such a column dgesdd is that QR followed by the
+SVD of the 1 x 1 factor R, so the QR alone gives the SVD's own bytes (see
+_column_frames).
 
 Solution text format (YFACTOR):
 
@@ -25,6 +27,7 @@ followed by n sections of r lines with d whitespace-separated values each
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +57,14 @@ def project_stiefel(M: np.ndarray) -> np.ndarray:
     the same bytes (_column_frames).
 
     Raises ValueError for rank-deficient input (the projection is then not
-    unique), naming the number of deficient columns and, in a stack, the
-    first deficient matrix.
+    unique): a singular value at most 1e-12 times the largest, or a zero
+    matrix.  The test is relative, so a column of any positive norm projects
+    to x / ||x||.  The message names the number of deficient columns and, in
+    a stack, the first deficient matrix.
     """
     M = np.asarray(M, dtype=float)
     Y, s = _polar_factor(M)
-    deficient = (s <= 1e-12 * np.maximum(1.0, s[..., :1])).sum(axis=-1)
+    deficient = (s <= 1e-12 * s[..., :1]).sum(axis=-1)
     if deficient.any():
         k = int(np.flatnonzero(deficient)[0])
         which = f" {k}" if M.ndim > 2 else ""
@@ -109,40 +114,28 @@ def _column_frames(A: np.ndarray):
     return (np.sign(beta) * q + 0.0)[:, :, None], np.abs(beta)
 
 
-def block_minimize(G: np.ndarray, current: np.ndarray | None = None):
-    """Minimize <G, Y> over r x d matrices with orthonormal columns.
+def block_minimize(G: np.ndarray):
+    """Minimize <G, Y> over r x d matrices Y with orthonormal columns, the one
+    block minimizer of the solver.
 
-    Returns (Y_star, achieved) where Y_star = U V^T from the thin SVD of -G
-    and achieved = <G, Y_star> = -nuclear_norm(G).  For exactly-zero G every
-    feasible point is optimal: `current` is returned unchanged when supplied,
-    the identity frame otherwise.  A stack G (k, r, d), which must hold only
-    nonzero matrices, gives k minimizers and k achieved values, each
-    bit-identical to its own call.
+    Returns (Y_star, ||G||_*): Y_star = U V^T from the thin SVD of -G, where
+    <G, Y_star> = -||G||_*, the negated sum of the singular values.  A zero G
+    gives a feasible frame and 0.  A stack G (k, r, d) gives k minimizers and
+    an array of k norms, each bit-identical to its own call; a stack with
+    d = 1 whose max-abs entries lie in [2^-459, 2^459] takes one batched QR
+    with the same bytes (_column_frames).
+
+    Raises ValueError for a non-finite entry, before the SVD: LAPACK's SVD of
+    an r x d matrix with d >= 3 and an infinite entry in its first column
+    does not return.  The test is one scalar, <G, G>, and G's entries are
+    looked at only when it is not finite (squares may overflow).
     """
     G = np.asarray(G, dtype=float)
-    check_coupling(G)
-    if G.ndim == 2 and not G.any():
-        r, d = G.shape
-        Y = current if current is not None else np.eye(r, d)
-        return np.array(Y, dtype=float), 0.0
-    Y, nuc = minimize_nonzero(G)
-    return (Y, -float(nuc)) if G.ndim == 2 else (Y, -nuc)
-
-
-def check_coupling(G: np.ndarray) -> None:
-    """Raise ValueError when a coupling matrix (or a stack) has a non-finite entry."""
-    if not np.isfinite(G).all():
+    if not math.isfinite(np.vdot(G, G)) and not np.isfinite(G).all():
         raise ValueError("block coupling matrix has non-finite entries")
-
-
-def minimize_nonzero(G: np.ndarray):
-    """block_minimize of a finite G with a nonzero entry, or a stack of them,
-    unchecked: the minimizer U V^T from the thin SVD of -G and ||G||_*, the
-    sum of the singular values (as an array: one per matrix of a stack).  A
-    stack with d = 1 whose max-abs entries lie in [2^-459, 2^459] takes one
-    batched QR instead of the SVD, with the same bytes (_column_frames)."""
     Y, s = _polar_factor(-G)
-    return Y, s.sum(axis=-1)
+    nuc = s.sum(axis=-1)
+    return (Y, float(nuc)) if G.ndim == 2 else (Y, nuc)
 
 
 def sym_coupling(Y: np.ndarray, G: np.ndarray) -> np.ndarray:

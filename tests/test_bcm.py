@@ -678,7 +678,40 @@ def test_step_weights_are_nuclear_norms_without_warnings(d, scale):
             nbr = neighbors(Q, i)
             weights = state.weights
             assert weights[nbr].tobytes() == nuclear_norm(state.point.gcache[nbr]).tobytes()
-            assert weights[i] == -block_minimize(G)[1]
+            assert weights[i] == block_minimize(G)[1]
+
+
+def test_every_step_minimizes_through_block_minimize(monkeypatch):
+    # The one minimizer: an importance solve calls it once per step, a uniform
+    # solve once per batched run and once per short-run step with a nonzero
+    # coupling, and the blocks it minimizes sum to the steps with one.
+    minimized = []  # blocks per call
+
+    def counted(G):
+        minimized.append(len(G) if G.ndim == 3 else 1)
+        return block_minimize(G)
+
+    monkeypatch.setattr(bcm, "block_minimize", counted)
+    Q = random_instance(np.random.default_rng(80), 1, 200, density=0.01)
+    report = solve(Q, SolverConfig(rank=3, sampling="importance", seed=1, max_iters=2000))
+    assert report.iterations and minimized == [1] * report.iterations
+
+    expected, steps = [], {"batched": 0, "short": 0, "zero": 0}
+
+    def recorded_run(state, Q, run):
+        live = int(state.point.gcache[run].any(axis=(1, 2)).sum())
+        batched = len(run) >= bcm.RUN_BATCH_MIN
+        expected.extend([live] if batched else [1] * live)
+        steps["batched" if batched else "short"] += len(run)
+        steps["zero"] += len(run) - live
+        return bcm_run(state, Q, run)
+
+    monkeypatch.setattr(bcm, "bcm_run", recorded_run)
+    minimized.clear()
+    report = solve(Q, SolverConfig(rank=3, seed=1, max_iters=2000))
+    assert minimized == expected
+    assert sum(minimized) == report.iterations - steps["zero"]
+    assert min(steps.values()) > 0  # batched and short runs, and zero couplings
 
 
 def test_solve_on_weights_past_the_float_range_is_quiet():

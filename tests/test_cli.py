@@ -199,6 +199,25 @@ def test_bench_refuses_fstar_before_any_solve(tmp_path, capsys, monkeypatch, fst
     assert err == f"error: lower bound fstar {rule}, got {fstar}\n"
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--tol", "nan", "grad_tol must be positive, got nan"),
+    ("--tol", "0", "grad_tol must be positive, got 0.0"),
+    ("--rank", "0", "rank 0 smaller than block dimension 1"),
+    ("--max-iters", "0", "max_iters must be >= 1, got 0"),
+])
+def test_bench_refuses_trial_settings_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                       option, value, message):
+    # The trials' settings are validated before F* is resolved by a full-rank solve.
+    inst = write_triangle(tmp_path)
+    solves = []
+    monkeypatch.setattr(blocksdp.bcm, "solve", lambda *a, **k: solves.append(a))
+    options = {"--rank": "2", "--trials": "5", option: value}
+    code, out, err = run(capsys, ["bench", "--input", str(inst),
+                                  *(x for item in options.items() for x in item)])
+    assert (code, out, solves) == (1, "", [])
+    assert err == f"error: {message}\n"
+
+
 def test_non_finite_solution_file_is_a_parse_error(tmp_path, capsys):
     inst = tmp_path / "edge.bsm"
     write_bsm(BlockSparseSym(1, 2, {(0, 1): np.array([[1.0]])}), inst)

@@ -9,7 +9,7 @@ from blocksdp import (BlockSparseSym, FactorPoint, ParseError, block_minimize,
                       compute_gcache, evaluate_cost, feasibility_residual,
                       is_orthonormal, nuclear_norm, project_stiefel, read_yfactor,
                       riemannian_grad_oracle, write_yfactor)
-from blocksdp.stiefel import _column_frames, minimize_nonzero
+from blocksdp.stiefel import _column_frames
 
 
 def test_project_identity_and_scalar():
@@ -47,23 +47,18 @@ def test_project_stack_matches_each_matrix_and_names_deficient_member():
 
 
 def test_block_minimize_examples():
-    Y, achieved = block_minimize(np.array([[3.0], [4.0]]))
+    Y, nuc = block_minimize(np.array([[3.0], [4.0]]))
     np.testing.assert_allclose(Y, [[-0.6], [-0.8]])
-    assert achieved == pytest.approx(-5.0)
+    assert nuc == pytest.approx(5.0)
 
-    Y, achieved = block_minimize(-np.diag([2.0, 3.0]))
+    Y, nuc = block_minimize(-np.diag([2.0, 3.0]))
     np.testing.assert_allclose(Y, np.eye(2), atol=1e-14)
-    assert achieved == pytest.approx(-5.0)
-
-    current = random_stiefel(3, 2, np.random.default_rng(1))
-    Y, achieved = block_minimize(np.zeros((3, 2)), current=current)
-    np.testing.assert_array_equal(Y, current)
-    assert achieved == 0.0
+    assert nuc == pytest.approx(5.0)
 
 
 def test_block_minimize_zero_without_current_is_feasible():
-    Y, achieved = block_minimize(np.zeros((4, 2)))
-    assert achieved == 0.0
+    Y, nuc = block_minimize(np.zeros((4, 2)))
+    assert nuc == 0.0
     assert is_orthonormal(Y)
 
 
@@ -71,12 +66,26 @@ def test_block_minimize_zero_without_current_is_feasible():
 def test_block_minimize_stack_equals_one_call_per_matrix(r, d):
     rng = np.random.default_rng(r + d)
     G = rng.standard_normal((9, r, d)) * 10.0 ** rng.integers(-6, 6, size=(9, 1, 1))
-    Y, achieved = block_minimize(G)
+    Y, nuc = block_minimize(G)
     for k in range(9):
-        Y_k, achieved_k = block_minimize(G[k])
-        assert Y[k].tobytes() == Y_k.tobytes() and achieved[k] == achieved_k
-    with pytest.raises(ValueError, match="non-finite"):
-        block_minimize(np.where(np.arange(9)[:, None, None] == 4, np.nan, G))
+        Y_k, nuc_k = block_minimize(G[k])
+        assert Y[k].tobytes() == Y_k.tobytes() and nuc[k] == nuc_k
+    # A non-finite entry is refused, single or stacked, before the SVD: at
+    # d >= 3, LAPACK's SVD of a matrix with an infinite entry in its first
+    # column does not return.
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in [(4, 0, 0), (4, r - 1, d - 1)]:
+            H = G.copy()
+            H[where] = bad
+            for M in (H, H[4]):
+                with pytest.raises(ValueError, match="^block coupling matrix has non-finite entries$"):
+                    block_minimize(M)
+    # A zero matrix gives a feasible frame and 0, alone and in a stack.
+    G[4] = 0.0
+    Y, nuc = block_minimize(G)
+    Y_4, nuc_4 = block_minimize(G[4])
+    assert is_orthonormal(Y_4) and nuc_4 == 0.0 == nuc[4]
+    assert Y[4].tobytes() == Y_4.tobytes()
 
 
 def svd_frames(M):
@@ -86,13 +95,13 @@ def svd_frames(M):
 
 
 def assert_svd_bytes(A):
-    """minimize_nonzero and project_stiefel of a stack give np.linalg.svd's bytes,
+    """block_minimize and project_stiefel of a stack give np.linalg.svd's bytes,
     or the projection raises, naming the first matrix that is rank-deficient."""
-    Y, nuc = minimize_nonzero(A)
+    Y, nuc = block_minimize(A)
     want_Y, want_s = svd_frames(-A)
     assert Y.tobytes() == want_Y.tobytes() and nuc.tobytes() == want_s.sum(axis=-1).tobytes()
     want_Y, want_s = svd_frames(A)
-    small = np.flatnonzero(want_s[:, 0] <= 1e-12)
+    small = np.flatnonzero(want_s[:, 0] == 0.0)
     if small.size:
         with pytest.raises(ValueError, match=rf"matrix {small[0]}: 1 of 1 columns deficient"):
             project_stiefel(A)
@@ -129,18 +138,39 @@ def test_column_stacks_match_the_svd_byte_for_byte(r, k):
             project_stiefel(A)
 
 
+def test_tiny_columns_project_to_their_direction(tmp_path):
+    # Rank deficiency is judged against the largest singular value: a column
+    # of norm 2^-60 projects to x / ||x|| with the SVD's bytes, single and
+    # stacked, and read_yfactor reprojects a block holding one.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((6, 1))
+    x *= 2.0 ** -60 / np.linalg.norm(x)
+    want = svd_frames(x)[0]
+    assert project_stiefel(x).tobytes() == want.tobytes()
+    np.testing.assert_allclose(want, x / np.linalg.norm(x), rtol=0, atol=1e-15)
+    M = rng.standard_normal((5, 6, 1))
+    M[2] = x
+    assert project_stiefel(M)[2].tobytes() == want.tobytes()
+    assert_svd_bytes(M)
+    path = tmp_path / "tiny.yf"
+    write_yfactor([np.eye(6, 1), x], path)
+    assert read_yfactor(path, reproject=False)[1].tobytes() == x.tobytes()
+    back = read_yfactor(path)
+    assert back[1].tobytes() == want.tobytes() and is_orthonormal(back[1])
+
+
 def test_block_minimize_beats_random_candidates():
     rng = np.random.default_rng(2)
     for _ in range(5):
         r, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
         d = min(d, r)
         G = rng.standard_normal((r, d))
-        Y_star, achieved = block_minimize(G)
-        assert achieved == pytest.approx(-nuclear_norm(G), rel=1e-10)
-        assert abs(float(np.vdot(G, Y_star)) - achieved) <= 1e-10 * (1 + abs(achieved))
+        Y_star, nuc = block_minimize(G)
+        assert nuc == pytest.approx(nuclear_norm(G), rel=1e-10)
+        assert abs(float(np.vdot(G, Y_star)) + nuc) <= 1e-10 * (1 + nuc)
         for _ in range(1000):
             Y = random_stiefel(r, d, rng)
-            assert achieved <= float(np.vdot(G, Y)) + 1e-10
+            assert -nuc <= float(np.vdot(G, Y)) + 1e-10
 
 
 def test_gcache_and_cost_match_dense():
