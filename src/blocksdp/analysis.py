@@ -153,14 +153,15 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
     stationarity residual ||S Y^T||_F gives ||grad F||_F^2 = 4 ||S Y^T||_F^2.
     At an exact critical point S Y^T = 0; if additionally S is positive
     semidefinite, Y is a global minimizer of the rank-restricted problem and
-    the lift Y^T Y solves the SDP, so the verdict is certified-global.  A
-    stationarity residual above cert_tol * (1 + ||Q||_F) yields
-    not-stationary.  Otherwise the point is certified when lambda - r >=
-    -cert_tol, lambda the eigenvalue solve's value and r its residual
-    (lambda_residual), solved to EIG_TOL_FRACTION * cert_tol; else it is
-    first-order-only.  Eigenvalue-solver failures downgrade the verdict,
-    never certify.  A cert_tol that is not finite and positive raises
-    ValueError.
+    the lift Y^T Y solves the SDP, so the verdict is certified-global.
+    cert_tol bounds ||grad F||_F^2, as the solver's grad_tol does (its
+    default 1e-8 (1 + ||Q||_F) is at least grad_tol's 1e-8): above it the
+    point is not-stationary.  Else it is certified when -(lambda - r) <=
+    cert_tol, lambda the eigenvalue solve's value and r its residual
+    (lambda_residual), solved to EIG_TOL_FRACTION * cert_tol, and
+    first-order-only otherwise.  Eigenvalue-solver failures downgrade the
+    verdict, never certify; a cert_tol that is not finite and positive
+    raises ValueError.
 
     The lower bound: for every feasible X of the lifted problem,
     tr(Q X) = tr(S X) + F(Y) with tr(S X) >= dn * min(lambda_min(S), 0)
@@ -176,10 +177,11 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
         raise ValueError(f"cert_tol must be finite and positive, got {cert_tol}")
     S = build_certificate_matrix(point, Q)
     residual = float(np.linalg.norm(S @ point.stacked().T))
+    grad_norm_sq = 4.0 * residual ** 2
     lam, lam_residual, converged = _smallest_eigenvalue(S, EIG_TOL_FRACTION * cert_tol)
     lam_low = lam - lam_residual
     note = None
-    if residual > cert_tol * (1.0 + Q.frobenius_norm()):
+    if grad_norm_sq > cert_tol:
         verdict = "not-stationary"
     elif converged and lam_low >= -cert_tol:
         verdict = "certified-global"
@@ -192,6 +194,5 @@ def certify_global(point: FactorPoint, Q: BlockSparseSym,
     else:
         bound = -Q.c2()
     return CertificateReport(lambda_min=lam, lambda_residual=lam_residual,
-                             stationarity_residual=residual,
-                             grad_norm_sq=4.0 * residual ** 2, verdict=verdict,
-                             cert_tol=cert_tol, lower_bound=bound, note=note)
+                             stationarity_residual=residual, grad_norm_sq=grad_norm_sq,
+                             verdict=verdict, cert_tol=cert_tol, lower_bound=bound, note=note)

@@ -67,7 +67,7 @@ def cmd_solve(args) -> int:
         rank=args.rank, sampling=args.sampling, grad_tol=args.tol,
         max_iters=args.max_iters, check_period=args.check_period,
         refresh_period=args.refresh_period, seed=args.seed,
-        log_every=args.log_every, stall_rtol=args.stall_rtol)
+        log_every=args.log_every)
     warm = read_yfactor(args.warm_start) if args.warm_start else None
     report = bcm.solve(Q, config, warm_start=warm)
     if args.solution:
@@ -162,26 +162,24 @@ def _bench_trial(Q, config, sampling, seed):
             "final_cost": report.final_cost, "termination": report.termination}
 
 
-def _resolve_fstar(Q: BlockSparseSym, rank: int, supplied: float | None):
+def _resolve_fstar(Q: BlockSparseSym, supplied: float | None):
     """F* for the bound calculators, with its provenance.
 
     Without a supplied value, solves once at full rank to tight tolerance
-    and certifies; a certified cost is the SDP optimum, hence a valid lower
-    bound for any rank.  Otherwise the certificate's dual bound
-    F(Y) + dn * min(lambda_min - lambda_residual, 0) is used, with -C2(Q) as
-    last resort; the verdict and the bound come from one eigen-solve.
+    and certifies.  F* is always the certificate's lower bound
+    F(Y) + dn * min(lambda_min - lambda_residual, 0) on the SDP optimum, a
+    valid F* for any rank, or -C2(Q) when the eigen-solve gives no value;
+    the source is "certified" when the point is certified-global.
     """
     if supplied is not None:
         return supplied, "supplied"
     # grad_tol below the gradient formula's roundoff floor: the run polishes
-    # to machine precision and exits via the stall guard.
-    config = bcm.SolverConfig(rank=Q.d * Q.n, grad_tol=1e-18, seed=0,
-                              log_every=10 ** 9, stall_rtol=1e-16)
-    report = bcm.solve(Q, config)
-    cert = analysis.certify_global(report.point, Q)
-    if cert.verdict == "certified-global":
-        return report.final_cost, "certified"
-    return cert.lower_bound, "dual-bound" if np.isfinite(cert.lambda_min) else "nuclear-lower-bound"
+    # until the stall guard stops it.
+    config = bcm.SolverConfig(rank=Q.d * Q.n, grad_tol=1e-18, seed=0, log_every=10 ** 9)
+    cert = analysis.certify_global(bcm.solve(Q, config).point, Q)
+    source = ("certified" if cert.verdict == "certified-global"
+              else "dual-bound" if np.isfinite(cert.lambda_min) else "nuclear-lower-bound")
+    return cert.lower_bound, source
 
 
 def cmd_bench(args) -> int:
@@ -193,7 +191,7 @@ def cmd_bench(args) -> int:
     config = bcm.SolverConfig(rank=args.rank, grad_tol=args.tol, max_iters=args.max_iters,
                               check_period=1, log_every=max(1, Q.n))
     config.validate(Q)  # refused here, not after _resolve_fstar's full-rank solve
-    fstar, fstar_source = _resolve_fstar(Q, args.rank, args.fstar)
+    fstar, fstar_source = _resolve_fstar(Q, args.fstar)
     seed_rng = np.random.default_rng(args.seed)
     trial_seeds = [int(s) for s in seed_rng.integers(0, 2 ** 62, size=args.trials)]
     rows = [_bench_trial(Q, config, scheme, seed)
@@ -246,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--refresh-period", type=int, default=None)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--log-every", type=int, default=1)
-    ps.add_argument("--stall-rtol", type=float, default=bcm.STALL_RTOL,
-                    help="relative cost-change threshold for stall detection")
     ps.add_argument("--warm-start", default=None, help="YFACTOR file to start from")
     ps.add_argument("--solution", default=None, help="YFACTOR output path")
     ps.add_argument("--log", default=None, help="JSONL iteration log path")
@@ -258,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_args(pv)
     pv.add_argument("--solution", required=True, help="YFACTOR file to verify")
     pv.add_argument("--cert-tol", type=float, default=None,
-                    help="certificate tolerance (default 1e-8 * (1 + ||Q||_F)); the "
-                         "eigenvalue solve is accurate to "
-                         f"{analysis.EIG_TOL_FRACTION:g} * cert-tol")
+                    help="bound on ||grad||^2 and on -(lambda_min - lambda_residual), "
+                         "default 1e-8 * (1 + ||Q||_F); the eigenvalue solve is "
+                         f"accurate to {analysis.EIG_TOL_FRACTION:g} * cert-tol")
     pv.set_defaults(func=cmd_verify)
 
     pg = sub.add_parser("generate", help="write a synthetic instance")
@@ -290,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, default=0, help="base seed for trial seeds")
     pb.add_argument("--max-iters", type=int, default=None)
     pb.add_argument("--fstar", type=float, default=None,
-                    help="known lower bound on the optimum (else certified or -C2)")
+                    help="known lower bound on the optimum (else the certificate's at full rank)")
     pb.add_argument("--output", default=None, help="CSV output path")
     pb.set_defaults(func=cmd_bench)
     return parser

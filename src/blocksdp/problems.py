@@ -126,8 +126,8 @@ def generate_rotsync(n: int, d: int, edge_prob: float, noise: float, seed: int,
         raise ValueError(f"unsupported block dimension d={d}, expected 2 or 3")
     if not (0.0 < edge_prob <= 1.0):
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
-    if noise < 0.0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be a finite nonnegative number, got {noise}")
     rng = np.random.default_rng(seed)
     truth = [random_rotation(d, rng) for _ in range(n)]
     for _ in range(max_attempts):

@@ -9,8 +9,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from blocksdp import analysis
 from blocksdp import (BlockSparseSym, FactorPoint, SolverConfig, build_certificate_matrix,
-                      certify_global, compute_gcache, evaluate_cost, generate_rotsync,
-                      grad_norm_sq_fast, iteration_bound, nuclear_norm,
+                      certify_global, compute_gcache, evaluate_cost, generate_maxcut,
+                      generate_rotsync, grad_norm_sq_fast, iteration_bound, nuclear_norm,
                       riemannian_grad_oracle, sdp_lift_check, solve, sym_coupling,
                       sync_to_Q)
 from blocksdp.bcm import bcm_step, check_bound_args, init_state, sample_block
@@ -230,6 +230,31 @@ def test_certificate_random_point_not_stationary():
         oracle = riemannian_grad_oracle(point, Q)
         ref = float(np.sum(oracle * oracle))
         assert abs(cert.grad_norm_sq - ref) <= 1e-12 * ref
+
+
+def test_not_stationary_exactly_above_cert_tol():
+    # cert_tol bounds the squared gradient norm itself, the quantity that
+    # solve's grad_tol bounds, with no further scale.
+    rng = np.random.default_rng(11)
+    Q = random_instance(rng, 2, 5)
+    point = random_point(rng, Q, 3)
+    gsq = certify_global(point, Q).grad_norm_sq
+    assert certify_global(point, Q, cert_tol=gsq * (1.0 - 1e-9)).verdict == "not-stationary"
+    assert certify_global(point, Q, cert_tol=gsq * (1.0 + 1e-9)).verdict != "not-stationary"
+
+
+@pytest.mark.parametrize("n, edge_prob, graph_seed, solver_seed", [
+    (5, 0.8, 2, 1), (6, 0.8, 3, 1), (10, 0.5, 11, 0)])
+def test_full_rank_stall_exit_is_certified(n, edge_prob, graph_seed, solver_seed):
+    # grad_tol 1e-18 lies below the gradient formula's roundoff floor, so each
+    # run ends in the stall guard at the default stall_rtol, with a squared
+    # gradient norm of 1e-13 to 1e-12: inside the default cert_tol.
+    Q = generate_maxcut(n, edge_prob, seed=graph_seed, weighted=True)
+    report = solve(Q, SolverConfig(rank=Q.d * Q.n, grad_tol=1e-18, seed=solver_seed))
+    cert = certify_global(report.point, Q)
+    assert report.termination == "stalled"
+    assert cert.verdict == "certified-global"
+    assert report.final_cost - cert.lower_bound <= Q.d * Q.n * cert.cert_tol
 
 
 def test_certificate_matrix_matches_dense_reference():

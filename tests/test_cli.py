@@ -15,7 +15,8 @@ import pytest
 from conftest import random_stiefel, triangle
 
 import blocksdp
-from blocksdp import BlockSparseSym, analysis, read_yfactor, write_bsm, write_yfactor
+from blocksdp import (BlockSparseSym, analysis, evaluate_cost, read_yfactor, write_bsm,
+                      write_yfactor)
 from blocksdp.cli import main
 
 
@@ -139,6 +140,45 @@ def test_verify_non_stationary_solution(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
     assert code == 1
     assert json.loads(out)["certificate"]["verdict"] == "not-stationary"
+
+
+@pytest.mark.parametrize("seed,verdicts", [
+    (1, ["first-order-only", "certified-global"]),
+    (3, ["certified-global", "certified-global"]),
+])
+def test_solve_exit_zero_passes_the_stationarity_test(tmp_path, capsys, seed, verdicts):
+    # solve --tol and verify's stationarity test bound the same squared
+    # gradient norm, and the default cert_tol 1e-8 * (1 + ||Q||_F) is at
+    # least solve's default --tol, so an exit 0 is never not-stationary.  At
+    # a certified point, cost - lower_bound <= dn * cert_tol.
+    inst = tmp_path / "sync.bsm"
+    code, _, _ = run(capsys, ["generate", "rotsync", "--n", "30", "--d", "3", "--edge-prob",
+                              "0.3", "--noise", "1.5", "--seed", str(seed), "--output", str(inst)])
+    assert code == 0
+    seen = []
+    for rank, tol in (("3", "1e-8"), ("5", "1e-10")):
+        sol = tmp_path / f"rank{rank}.yf"
+        code, _, _ = run(capsys, ["solve", "--input", str(inst), "--rank", rank, "--tol", tol,
+                                  "--solution", str(sol)])
+        assert code == 0
+        code, out, _ = run(capsys, ["verify", "--input", str(inst), "--solution", str(sol)])
+        doc = json.loads(out)
+        cert = doc["certificate"]
+        assert cert["grad_norm_sq"] <= float(tol) <= cert["cert_tol"]
+        assert code == (0 if cert["verdict"] == "certified-global" else 1)
+        if cert["verdict"] == "certified-global":
+            dn = doc["instance"]["d"] * doc["instance"]["n"]
+            assert doc["cost"] - cert["lower_bound"] <= dn * cert["cert_tol"]
+        seen.append(cert["verdict"])
+    assert seen == verdicts
+
+
+def test_solve_has_no_stall_rtol_flag(tmp_path, capsys):
+    inst = write_triangle(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(inst), "--rank", "2", "--stall-rtol", "1e-16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stall-rtol 1e-16" in capsys.readouterr().err
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys):
@@ -416,6 +456,18 @@ def test_generate_rotsync_bad_dimension(tmp_path, capsys):
     assert "d=4" in err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_generate_rotsync_refuses_a_noise_that_is_not_finite(tmp_path, capsys, noise):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["generate", "rotsync", "--n", "6", "--d", "3",
+                                      "--edge-prob", "0.6", "--noise", noise, "--output",
+                                      str(tmp_path / "x.bsm")])
+    expected = f"error: noise must be a finite nonnegative number, got {float(noise)}\n"
+    assert (code, out, err) == (1, "", expected)
+    assert not (tmp_path / "x.bsm").exists()
+
+
 def test_bench_triangle(tmp_path, capsys):
     inst = write_triangle(tmp_path)
     csv_path = tmp_path / "bench.csv"
@@ -442,6 +494,29 @@ def test_bench_triangle(tmp_path, capsys):
     worst_f0 = max(float(row["f0"]) for row in rows)
     assert doc["k_uniform"] == by_hand("uniform", worst_f0)
     assert doc["k_importance"] == by_hand("importance", worst_f0)
+
+
+def test_bench_fstar_is_the_polished_points_lower_bound(tmp_path, capsys, monkeypatch):
+    # Without --fstar, F* is the certificate's lower bound at the full-rank
+    # point, also when that point is certified: its cost lies above the SDP
+    # optimum, the bound at or below it.
+    inst = write_triangle(tmp_path)
+    seen = []
+    certify = analysis.certify_global
+
+    def recording(point, Q, cert_tol=None):
+        cert = certify(point, Q, cert_tol)
+        seen.append((cert, evaluate_cost(point.blocks, Q)))
+        return cert
+
+    monkeypatch.setattr(analysis, "certify_global", recording)
+    code, out, _ = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
+                                "--tol", "1e-4", "--trials", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    [(cert, cost)] = seen
+    assert cert.verdict == "certified-global" and doc["fstar_source"] == "certified"
+    assert doc["fstar"] == cert.lower_bound <= cost
 
 
 def test_bench_solves_one_eigenproblem_per_fstar(tmp_path, capsys, monkeypatch):

@@ -135,6 +135,13 @@ def test_rotsync_parameter_validation():
         generate_rotsync(40, 2, 0.01, 0.0, seed=0, max_attempts=3)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
+def test_rotsync_refuses_a_noise_that_is_not_finite_and_nonnegative(noise):
+    with pytest.raises(ValueError,
+                       match=f"^noise must be a finite nonnegative number, got {noise}$"):
+        generate_rotsync(6, 3, 0.6, noise, seed=0)
+
+
 def test_import_leaves_csgraph_to_the_rotsync_generator():
     # scipy.sparse.csgraph costs every process about 1 MB; only generate_rotsync loads it.
     probe = ("import sys, blocksdp; loaded = 'scipy.sparse.csgraph' in sys.modules; "
