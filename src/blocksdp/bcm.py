@@ -37,7 +37,7 @@ from itertools import repeat
 import numpy as np
 
 from .analysis import grad_norm_sq_fast
-from .blockmat import BlockSparseSym, column_norms, nuclear_norm
+from .blockmat import BlockSparseSym, gram_nuclear_norms, nuclear_norm
 from .stiefel import FactorPoint, block_minimize, project_stiefel
 
 # Relative per-step cost change below which an iteration counts as stalled.
@@ -150,8 +150,13 @@ class RunLog(Sequence):
                          self._meas[j], self._gradsq.get(j), self._wall_ns[j])
 
     def __iter__(self):
-        return map(LogRecord, self._k, self._cost, self._block, self._pred, self._meas,
-                   map(self._gradsq.get, range(len(self))), self._wall_ns)
+        return map(LogRecord, *self.columns())
+
+    def columns(self) -> tuple:
+        """The seven columns in LogRecord's field order, one value a step each;
+        grad_norm_sq is an iterator, None on the unchecked rows."""
+        return (self._k, self._cost, self._block, self._pred, self._meas,
+                map(self._gradsq.get, range(len(self))), self._wall_ns)
 
     def _add_run(self, k: int, run: list, steps: list, gradsq, wall: int, every: int) -> None:
         """Log the steps k, k + 1, ... of a run, (cost_before, pred, meas) each,
@@ -221,7 +226,8 @@ def init_state(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> Solv
     # from_blocks checks n and d against Q; only the rank is the config's.
     if point.r != config.rank:
         raise ValueError(f"warm start has rank {point.r}, config expects {config.rank}")
-    weights = nuclear_norm(point.gcache) if SAMPLING_SCHEMES[config.sampling].weighted else None
+    weighted = SAMPLING_SCHEMES[config.sampling].weighted
+    weights = gram_nuclear_norms(point.gcache) if weighted else None
     return SolverState(point=point, rng=rng, weights=weights)
 
 
@@ -277,11 +283,13 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     -2 (||G||_* + <G, Y_old>) applied to the tracked cost, and the directly
     measured 2 <G, Y_new - Y_old>.  Couplings G_j change only for the
     neighbors j in block row i_k of Q: G_j += (Y_new - Y_old) Q_[i_k,j],
-    and with them their importance weights ||G_j||_*.  A zero G_i makes the
-    step a no-op; a non-finite one raises ValueError (block_minimize), a
-    non-finite cost or block NumericalError (after the update).  The one
-    step of the solver: every importance step and every short uniform run
-    takes it.
+    and with them their importance weights ||G_j||_*, from the d x d Gram
+    matrices G_j^T G_j (gram_nuclear_norms: the SVD's norms to about 2e-8
+    relative, the SVD itself for blocks out of range); block i_k's weight is
+    the minimizer's SVD value.  A zero G_i makes the step a no-op; a
+    non-finite one raises ValueError (block_minimize), a non-finite cost or
+    block NumericalError (after the update).  The one step of the solver:
+    every importance step and every short uniform run takes it.
     """
     point = state.point
     G, Y_old = point.gcache[i_k], point.blocks[i_k]
@@ -298,8 +306,8 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     Gn = point.gcache.take(nbr, axis=0) + (Y_new - Y_old) @ mat.data[p0:p1]
     point.gcache[nbr] = Gn
     weights = state.weights
-    if weights is not None:  # validate rules out overflowing squares in column_norms
-        weights[nbr] = column_norms(Gn) if Q.d == 1 and p1 > p0 else nuclear_norm(Gn)
+    if weights is not None:  # validate rules out overflowing squares
+        weights[nbr] = gram_nuclear_norms(Gn)
         weights[i_k] = nuc
     point.blocks[i_k] = Y_new
     point.cost += pred
@@ -404,7 +412,7 @@ SAMPLING_SCHEMES = {"uniform": Scheme(_uniform_runs, False, lambda Q: 2.0 * Q.d 
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
     drift = state.point.refresh(Q)
     if state.weights is not None:
-        state.weights = nuclear_norm(state.point.gcache)
+        state.weights = gram_nuclear_norms(state.point.gcache)
     return drift
 
 

@@ -55,10 +55,13 @@ def _instance_info(path, fmt, Q: BlockSparseSym, offset: float) -> dict:
             "c1": Q.c1(), "c2": Q.c2()}
 
 
-def _write_jsonl(records, path) -> None:
+def _write_jsonl(log: bcm.RunLog, path) -> None:
+    """One JSON line a step, LogRecord.to_dict's keys, straight from the log's columns."""
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict()) + "\n")
+        fh.writelines(json.dumps({"k": k, "cost": cost, "block": block, "pred_descent": pred,
+                                  "meas_descent": meas, "grad_norm_sq": gradsq,
+                                  "wall_ns": wall}) + "\n"
+                      for k, cost, block, pred, meas, gradsq, wall in zip(*log.columns()))
 
 
 def cmd_solve(args) -> int:

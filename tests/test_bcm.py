@@ -11,10 +11,10 @@ from conftest import (dense_cost, gcache_residual, neighbors, random_instance, r
 
 from blocksdp import (BlockSparseSym, NumericalError, RunLog, SolverConfig, bcm, bcm_run,
                       bcm_step, init_state, sample_block, solve)
-from blocksdp.bcm import max_available_descent
-from blocksdp.blockmat import nuclear_norm
+from blocksdp.bcm import STALL_RTOL, max_available_descent
+from blocksdp.blockmat import gram_nuclear_norms, nuclear_norm
 from blocksdp.problems import generate_maxcut, generate_rotsync, sync_to_Q
-from blocksdp.stiefel import block_minimize
+from blocksdp.stiefel import FactorPoint, block_minimize
 
 
 def make_state(Q, rank, seed, sampling="uniform"):
@@ -277,6 +277,29 @@ def test_stall_exit_only_when_no_block_can_descend():
     assert report.termination == "stalled"
     assert max_available_descent(report.point) <= 1e-14 * (1 + abs(report.final_cost))
     assert report.final_cost == pytest.approx(-3.0, abs=1e-9)
+
+
+def test_stall_test_takes_the_svd_at_rank_deficient_minimizers():
+    # Every block holds one Y, and every coupling is Q_[i,j] = -P_ij with P_ij
+    # PSD and P_ij v = 0: G_i = -Y sum_j P_ij, so Y minimizes each block, and
+    # each G_i has rank 2.  The SVD's nuclear norms leave no descent above the
+    # stall threshold; the Gram eigenvalues would put about 1e-8 ||G_i|| in it.
+    rng = np.random.default_rng(97)
+    n, d = 8, 3
+    v = random_stiefel(d, 1, rng)
+    project = np.eye(d) - v @ v.T
+    blocks = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            A = rng.standard_normal((d, d))
+            blocks[(i, j)] = -project @ A @ A.T @ project
+    Q = BlockSparseSym(d, n, blocks)
+    point = FactorPoint.from_blocks(np.repeat(random_stiefel(5, d, rng)[None], n, axis=0), Q)
+    assert (np.linalg.matrix_rank(point.gcache) == 2).all()
+    threshold = STALL_RTOL * (1.0 + abs(point.cost))
+    assert max_available_descent(point) <= threshold
+    inner = np.sum(point.gcache * point.blocks, axis=(1, 2))
+    assert (2.0 * (gram_nuclear_norms(point.gcache) + inner)).max() > threshold
 
 
 def cumsum_draw(weights, rng):
@@ -676,8 +699,12 @@ def test_step_weights_are_nuclear_norms_without_warnings(d, scale):
             G = state.point.gcache[i].copy()
             bcm_step(state, Q, i)
             nbr = neighbors(Q, i)
-            weights = state.weights
-            assert weights[nbr].tobytes() == nuclear_norm(state.point.gcache[nbr]).tobytes()
+            weights, Gn = state.weights, state.point.gcache[nbr]
+            if d == 1:
+                assert weights[nbr].tobytes() == nuclear_norm(Gn).tobytes()
+            else:  # the Gram eigenvalues, not the SVD that nuclear_norm takes at d > 1
+                assert weights[nbr].tobytes() == gram_nuclear_norms(Gn).tobytes()
+                np.testing.assert_allclose(weights[nbr], nuclear_norm(Gn), rtol=1e-7, atol=0)
             assert weights[i] == block_minimize(G)[1]
 
 

@@ -13,6 +13,7 @@ from blocksdp import (BlockSparseSym, ParseError, SolverConfig, blockmat, genera
                       nuclear_norm, problems, read_bsm, read_edgelist, read_matrix_market,
                       write_bsm)
 from blocksdp.bcm import iteration_bound
+from blocksdp.blockmat import gram_nuclear_norms
 
 
 def from_dense(Qraw, d):
@@ -346,6 +347,100 @@ def test_nuclear_norm_subadditive_and_transpose_invariant():
         B = rng.standard_normal((r, d))
         assert nuclear_norm(A + B) <= nuclear_norm(A) + nuclear_norm(B) + 1e-10
         assert nuclear_norm(A.T) == pytest.approx(nuclear_norm(A), rel=1e-12)
+
+
+def svd_norms(G):
+    return np.linalg.svd(G, compute_uv=False).sum(axis=-1)
+
+
+def rank_deficient(rng, k, r, d, rank, noise=0.0):
+    """k random r x d blocks of the given rank, plus noise times a Gaussian."""
+    G = rng.standard_normal((k, r, rank)) @ rng.standard_normal((k, rank, d))
+    return G + noise * rng.standard_normal((k, r, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
+def test_gram_nuclear_norms_match_the_svd(d, scale):
+    # Random, rank-deficient and nearly rank-deficient stacks: the Gram rule is
+    # within 1e-7 of the SVD (about 2e-8 at worst), and warns of nothing.  At
+    # 1e-170 the squares underflow and every block takes the SVD.
+    rng = np.random.default_rng(90 + d)
+    stacks = [rng.standard_normal((40, 5, d)), rng.standard_normal((40, d, d)),
+              *(rank_deficient(rng, 40, 5, d, rank) for rank in range(d)),
+              *(rank_deficient(rng, 40, 5, d, rank, 10.0 ** -e) for rank in range(1, d)
+                for e in (4, 8, 12))]
+    for G in stacks:
+        G = G * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gram_nuclear_norms(G)
+            want = nuclear_norm(G)
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=0)
+        if scale == 1e-170:
+            assert got.tobytes() == want.tobytes()
+    one = gram_nuclear_norms(np.diag([3.0, 4.0]))
+    assert one.shape == () and one == pytest.approx(7.0, rel=1e-15)
+
+
+def test_gram_nuclear_norms_d1_are_the_column_norms():
+    # At d = 1 the norms are sqrt(sum g^2) as before, byte for byte, and the SVD's
+    # for the columns whose sums of squares underflow or overflow.
+    rng = np.random.default_rng(95)
+    for r in (2, 3, 7, 16, 31, 64, 130):
+        C = rng.standard_normal((200, r))
+        assert gram_nuclear_norms(C[:, :, None]).tobytes() == np.sqrt((C * C).sum(axis=1)).tobytes()
+        C[::3] *= 10.0 ** rng.integers(-200, 201, size=(len(C[::3]), 1))
+        with np.errstate(over="ignore"):
+            got = gram_nuclear_norms(C[:, :, None])
+            sq = (C * C).sum(axis=1)
+        far = ~((blockmat._SQ_MIN <= sq) & (sq <= blockmat._SQ_MAX))
+        assert got[far].tobytes() == svd_norms(C[far, :, None]).tobytes()
+        assert got[~far].tobytes() == np.sqrt(sq[~far]).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gram_nuclear_norms_leave_out_of_range_and_nan_blocks_to_the_svd(d):
+    rng = np.random.default_rng(96 + d)
+    G = rng.standard_normal((12, 5, d))
+    G[[1, 5]] *= 1e-170  # squares underflow
+    # Equal singular values whose squares lie below _SQ_MIN and sum above it: the
+    # largest eigenvalue sends the stack to the per-block test, which keeps them.
+    G[[3, 7]] = random_stiefel(5, d, rng) * np.sqrt(0.75 * blockmat._SQ_MIN)
+    for overflow in (False, True):
+        if overflow:
+            G[[2, 9]] *= 1e160
+        with np.errstate(over="ignore"):
+            got = gram_nuclear_norms(G)
+            sq = (G * G).sum(axis=(1, 2))
+        far = ~((blockmat._SQ_MIN <= sq) & (sq <= blockmat._SQ_MAX))
+        assert far.tolist() == [k in ((1, 2, 5, 9) if overflow else (1, 5)) for k in range(12)]
+        assert got[far].tobytes() == svd_norms(G[far]).tobytes()
+        np.testing.assert_allclose(got, svd_norms(G), rtol=1e-7, atol=0)
+    # A NaN raises the SVD's error, whatever eigvalsh would make of it.
+    G[4, 0, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as gram, np.errstate(over="ignore"):
+        gram_nuclear_norms(G)
+    with pytest.raises(np.linalg.LinAlgError) as svd:
+        nuclear_norm(G[4])
+    assert str(gram.value) == str(svd.value)
+    # An infinite entry gives what nuclear_norm gives, in the block that holds it.
+    for inf in (np.inf, -np.inf):
+        G[4, 0, 1] = inf
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("ignore")
+            got, want = gram_nuclear_norms(G), nuclear_norm(G)
+        assert got[4].tobytes() == want[4].tobytes()
+        assert got[far].tobytes() == want[far].tobytes()
+
+
+def test_gram_nuclear_norms_of_empty_stacks():
+    for d in (1, 2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gram_nuclear_norms(np.zeros((0, 4, d)))
+        assert got.shape == (0,) and got.dtype == float
+        np.testing.assert_array_equal(gram_nuclear_norms(np.zeros((3, 4, d))), np.zeros(3))
 
 
 def test_bsm_roundtrip_sparse_and_dense(tmp_path):
