@@ -287,8 +287,10 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     matrices G_j^T G_j (gram_nuclear_norms: the SVD's norms to about 2e-8
     relative, the SVD itself for blocks out of range); block i_k's weight is
     the minimizer's SVD value.  A zero G_i makes the step a no-op; a
-    non-finite one raises ValueError (block_minimize), a non-finite cost or
-    block NumericalError (after the update).  The one step of the solver:
+    non-finite one raises ValueError (block_minimize), and a LAPACK failure
+    in the SVD or the weights' eigenvalues np.linalg.LinAlgError, both
+    before anything changes; a non-finite cost or block raises
+    NumericalError (after the update).  The one step of the solver:
     every importance step and every short uniform run takes it.
     """
     point = state.point
@@ -304,11 +306,11 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     p0, p1 = mat.indptr[i_k], mat.indptr[i_k + 1]
     nbr = Q.cols[p0:p1]
     Gn = point.gcache.take(nbr, axis=0) + (Y_new - Y_old) @ mat.data[p0:p1]
-    point.gcache[nbr] = Gn
     weights = state.weights
     if weights is not None:  # validate rules out overflowing squares
-        weights[nbr] = gram_nuclear_norms(Gn)
+        weights[nbr] = gram_nuclear_norms(Gn)  # first: it may raise LinAlgError
         weights[i_k] = nuc
+    point.gcache[nbr] = Gn
     point.blocks[i_k] = Y_new
     point.cost += pred
     # G is finite here, so a finite <G, Y_new> implies a finite Y_new.

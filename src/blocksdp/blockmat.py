@@ -201,6 +201,27 @@ def _write_rows(path, header: str, *columns) -> None:
             fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
+def _lapack_gufunc(name: str, signature: str, fallback):
+    """numpy's LAPACK gufunc `name` called with `signature`, the call that
+    np.linalg makes inside its wrapper, so the outputs carry the same bytes;
+    fallback, the np.linalg function, on a numpy without that gufunc.
+
+    The call skips the wrapper's checks and its np.errstate: a LAPACK
+    failure returns NaN outputs (numpy warns of an invalid value), which the
+    caller tests for instead of catching np.linalg's LinAlgError.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        return partial(getattr(_umath_linalg, name), signature=signature)
+    except (ImportError, AttributeError):
+        return fallback
+
+
+# The eigenvalues of a stack of symmetric matrices from their lower triangles, as
+# np.linalg.eigvalsh gives them (ascending); NaN where LAPACK fails.
+_eigvalsh = _lapack_gufunc("eigvalsh_lo", "d->d", np.linalg.eigvalsh)
+
+
 # Sums of squares in [_SQ_MIN, _SQ_MAX] give a column norm, and the eigenvalues
 # of a Gram matrix, to rounding: below, squared entries may have underflowed;
 # above, overflowed.
@@ -230,9 +251,13 @@ def nuclear_norm(M):
 def gram_nuclear_norms(G):
     """The nuclear norms of a stack of r x d blocks (..., r, d), the importance
     weights, from the d x d Gram matrices G^T G: sum_j sqrt(max(lambda_j, 0))
-    over their eigenvalues (np.linalg.eigvalsh); one block (r, d) gives an
-    array of shape ().  At d = 1 that is the column norm sqrt(sum g^2),
-    nuclear_norm's d = 1 case without its np.errstate.
+    over their eigenvalues; one block (r, d) gives an array of shape ().  At
+    d = 1 that is the column norm sqrt(sum g^2), nuclear_norm's d = 1 case
+    without its np.errstate.  The eigenvalues come from numpy's eigvalsh_lo
+    gufunc called directly (_eigvalsh): np.linalg.eigvalsh's bytes without
+    its Python wrapper, or np.linalg.eigvalsh itself on a numpy without that
+    gufunc.  A LAPACK failure gives NaN eigenvalues, which fail the _SQ_MIN
+    test below and raise LinAlgError on the per-block path.
 
     Blocks whose sum of squares is not finite or leaves [_SQ_MIN, _SQ_MAX]
     take the SVD: a NaN raises the SVD's LinAlgError (eigvalsh would give
@@ -268,6 +293,8 @@ def gram_nuclear_norms(G):
     else:  # eigvalsh only on the blocks in range
         s = np.zeros(G.shape[:-2])
         s[~far] = _gram_norms(G[~far])[0]
+    if np.isnan(s[~far]).any():  # _eigvalsh failed on a block in range
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     s[far] = np.linalg.svd(G[far], compute_uv=False).sum(axis=-1)
     return s
 
@@ -275,7 +302,7 @@ def gram_nuclear_norms(G):
 def _gram_norms(G):
     """gram_nuclear_norms of a stack of finite blocks (..., r, d) by the Gram
     eigenvalues alone, and the largest eigenvalue of each block."""
-    lam = np.linalg.eigvalsh(G.swapaxes(-2, -1) @ G)
+    lam = _eigvalsh(G.swapaxes(-2, -1) @ G)
     return np.sqrt(np.maximum(lam, 0.0)).sum(axis=-1), lam[..., -1]
 
 

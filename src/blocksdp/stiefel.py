@@ -11,11 +11,16 @@ Q [Y_1 ... Y_n]^T is G_i^T, so all couplings come from one sparse product.
 
 block_minimize is the one block minimizer: every step, single or batched,
 calls it, and it refuses a non-finite coupling before its SVD.  It and the
-projection take U V^T from the thin SVD.  A stack of one-column blocks
-(k, r, 1) whose every max-abs entry lies in [2^-459, 2^459] takes LAPACK's
-Householder QR instead: for such a column dgesdd is that QR followed by the
-SVD of the 1 x 1 factor R, so the QR alone gives the SVD's own bytes (see
-_column_frames).
+projection take U V^T from the thin SVD, by numpy's svd_s gufunc called
+directly (_svd): the call np.linalg.svd(M, full_matrices=False) makes, so the
+same bytes, without the checks, np.errstate and namedtuple of its Python
+wrapper, about half the cost of a small SVD.  A LAPACK failure shows as NaN
+singular values, which both callers turn into np.linalg.LinAlgError; on a
+numpy without svd_s, _svd is np.linalg.svd itself.  A stack of one-column
+blocks (k, r, 1) whose every max-abs entry lies in [2^-459, 2^459] takes
+LAPACK's Householder QR instead: for such a column dgesdd is that QR
+followed by the SVD of the 1 x 1 factor R, so the QR alone gives the SVD's
+own bytes (see _column_frames).
 
 Solution text format (YFACTOR):
 
@@ -29,10 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .blockmat import BlockSparseSym, ParseError, _read_header, _read_rows, _write_rows
+from .blockmat import (BlockSparseSym, ParseError, _lapack_gufunc, _read_header, _read_rows,
+                       _write_rows)
 
 # Max-abs tolerance on Y^T Y - I for a block to count as feasible.
 FEASIBILITY_TOL = 1e-10
@@ -60,10 +67,16 @@ def project_stiefel(M: np.ndarray) -> np.ndarray:
     unique): a singular value at most 1e-12 times the largest, or a zero
     matrix.  The test is relative, so a column of any positive norm projects
     to x / ||x||.  The message names the number of deficient columns and, in
-    a stack, the first deficient matrix.
+    a stack, the first deficient matrix.  Raises np.linalg.LinAlgError, a
+    ValueError, for a non-finite entry, before the SVD (see block_minimize),
+    and when the SVD fails.
     """
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("cannot project a matrix with non-finite entries")
     Y, s = _polar_factor(M)
+    if np.isnan(s).any():
+        raise np.linalg.LinAlgError("SVD did not converge")
     deficient = (s <= 1e-12 * s[..., :1]).sum(axis=-1)
     if deficient.any():
         k = int(np.flatnonzero(deficient)[0])
@@ -73,14 +86,21 @@ def project_stiefel(M: np.ndarray) -> np.ndarray:
     return Y
 
 
+# The thin SVD (U, s, V^T) of a matrix or a stack, as np.linalg.svd(M,
+# full_matrices=False) gives it; NaN outputs where LAPACK fails.
+_svd = _lapack_gufunc("svd_s", "d->ddd", partial(np.linalg.svd, full_matrices=False))
+
+
 def _polar_factor(M: np.ndarray):
     """U V^T and the singular values of M, or of each matrix of a stack, as
-    np.linalg.svd gives them: from one batched SVD or, for a stack of columns
-    that _column_frames takes, from one batched QR with the same bytes."""
+    np.linalg.svd gives them: from one batched SVD, numpy's svd_s gufunc
+    called directly (_svd), or, for a stack of columns that _column_frames
+    takes, from one batched QR with the same bytes.  A failed SVD leaves NaN
+    singular values, which the callers test for."""
     frames = _column_frames(M)
     if frames is not None:
         return frames
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = _svd(M)
     return U @ Vt, s
 
 
@@ -128,14 +148,20 @@ def block_minimize(G: np.ndarray):
     Raises ValueError for a non-finite entry, before the SVD: LAPACK's SVD of
     an r x d matrix with d >= 3 and an infinite entry in its first column
     does not return.  The test is one scalar, <G, G>, and G's entries are
-    looked at only when it is not finite (squares may overflow).
+    looked at only when it is not finite (squares may overflow).  Raises
+    np.linalg.LinAlgError when the SVD fails: it then returns NaN singular
+    values, so ||G||_* (their sum over the stack) is NaN, one scalar test.
     """
     G = np.asarray(G, dtype=float)
     if not math.isfinite(np.vdot(G, G)) and not np.isfinite(G).all():
         raise ValueError("block coupling matrix has non-finite entries")
     Y, s = _polar_factor(-G)
     nuc = s.sum(axis=-1)
-    return (Y, float(nuc)) if G.ndim == 2 else (Y, nuc)
+    if G.ndim == 2:
+        nuc = float(nuc)
+    if math.isnan(nuc if G.ndim == 2 else nuc.sum()):  # NaN singular values: the SVD failed
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return Y, nuc
 
 
 def sym_coupling(Y: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Shared helpers: random instances, random feasible points, dense oracles,
 cache checks, gauge alignment, the dict front-end of the symmetrizer, block
-lookups, the lexsort construction oracle, a guard against construction and the
-edge-list writer.
+lookups, the lexsort construction oracle, a guard against construction, the
+edge-list writer and failed stand-ins for the direct LAPACK kernels.
 
 The dense helpers are the independent reference path used throughout the
 suite: costs and gradients computed from the assembled dn x dn matrix with
@@ -85,6 +85,19 @@ def no_construction(monkeypatch):
     def refuse(*args):
         pytest.fail("construction reached past the sort-key bound on n")
     monkeypatch.setattr(BlockSparseSym, "_build", refuse)
+
+
+def nan_svd(M):
+    """A thin SVD that failed, as numpy's svd_s gufunc returns it: NaN U, s, V^T."""
+    *lead, m, n = M.shape
+    k = min(m, n)
+    return (np.full((*lead, m, k), np.nan), np.full((*lead, k), np.nan),
+            np.full((*lead, k, n), np.nan))
+
+
+def nan_eigvalsh(S):
+    """Eigenvalues that failed, as numpy's eigvalsh_lo gufunc returns them: NaN."""
+    return np.full(S.shape[:-1], np.nan)
 
 
 def write_edgelist(Q, path):

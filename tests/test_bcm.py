@@ -6,11 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import (dense_cost, gcache_residual, neighbors, random_instance, random_point,
-                      random_stiefel, reference_solve, triangle)
+from conftest import (dense_cost, gcache_residual, nan_eigvalsh, nan_svd, neighbors,
+                      random_instance, random_point, random_stiefel, reference_solve, triangle)
 
 from blocksdp import (BlockSparseSym, NumericalError, RunLog, SolverConfig, bcm, bcm_run,
-                      bcm_step, init_state, sample_block, solve)
+                      bcm_step, blockmat, init_state, sample_block, solve, stiefel)
 from blocksdp.bcm import STALL_RTOL, max_available_descent
 from blocksdp.blockmat import gram_nuclear_norms, nuclear_norm
 from blocksdp.problems import generate_maxcut, generate_rotsync, sync_to_Q
@@ -739,6 +739,64 @@ def test_every_step_minimizes_through_block_minimize(monkeypatch):
     assert minimized == expected
     assert sum(minimized) == report.iterations - steps["zero"]
     assert min(steps.values()) > 0  # batched and short runs, and zero couplings
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", ["svd", "eigvalsh"])
+def test_failed_lapack_step_raises_before_any_change(monkeypatch, kernel):
+    # The minimizer's SVD or a neighbour weight's eigenvalues fail: the step
+    # raises LinAlgError with blocks, couplings, weights and cost untouched.
+    Q = random_instance(np.random.default_rng(81), 3, 12, density=0.4)
+    state = init_state(Q, SolverConfig(rank=5, sampling="importance", seed=2))
+    i = sample_block(state)
+    assert neighbors(Q, i) and state.point.gcache[i].any()
+    if kernel == "svd":
+        monkeypatch.setattr(stiefel, "_svd", nan_svd)
+    else:
+        monkeypatch.setattr(blockmat, "_eigvalsh", nan_eigvalsh)
+    before = state_bytes(state), state.weights.tobytes()
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        bcm_step(state, Q, i)
+    assert (state_bytes(state), state.weights.tobytes()) == before
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_svd_in_a_run_falls_back_to_the_failing_step(monkeypatch, counted_steps):
+    rng = np.random.default_rng(82)
+    Q = random_instance(rng, 3, 40, density=0.05)
+    state = init_state(Q, SolverConfig(rank=4, seed=1))
+    run = next(run for run in conflict_free_runs(Q, rng, 200)
+               if len(run) >= bcm.RUN_BATCH_MIN and state.point.gcache[run[0]].any())
+    monkeypatch.setattr(stiefel, "_svd", nan_svd)
+    before = state_bytes(state)
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        bcm_run(state, Q, run)
+    assert counted_steps == run[:1]  # the batched minimizer failed first, then the step
+    assert state_bytes(state) == before
+
+
+def direct_lapack():
+    """Whether the SVD and eigvalsh kernels call numpy's gufuncs, not np.linalg."""
+    return all(isinstance(getattr(k, "func", None), np.ufunc)
+               for k in (stiefel._svd, blockmat._eigvalsh))
+
+
+@pytest.mark.skipif(not direct_lapack(), reason="this numpy has no svd_s or eigvalsh_lo gufunc")
+@pytest.mark.parametrize("d", [1, 3])
+def test_importance_steps_bypass_the_np_linalg_wrappers(monkeypatch, d):
+    # With the cap set, C2's SVD is not needed, and neither the steps nor the
+    # weight updates may go through np.linalg.svd or np.linalg.eigvalsh.
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg wrapper called")
+
+    Q = random_instance(np.random.default_rng(83 + d), d, 30, density=0.2)
+    config = SolverConfig(rank=d + 2, sampling="importance", seed=4, max_iters=600)
+    want = solve(Q, config)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    got = solve(Q, config)
+    assert got.termination == "max_iters" and got.iterations == 600
+    assert got.point.blocks.tobytes() == want.point.blocks.tobytes()
 
 
 def test_solve_on_weights_past_the_float_range_is_quiet():

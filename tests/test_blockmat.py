@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (assert_same_matrix, block, dense_cost, from_block_dict, lexsort_arrays,
-                      neighbors, pairs, random_instance, random_stiefel, triangle,
+                      nan_eigvalsh, neighbors, pairs, random_instance, random_stiefel, triangle,
                       write_edgelist)
 
 from blocksdp import (BlockSparseSym, ParseError, SolverConfig, blockmat, generate_maxcut,
@@ -432,6 +432,26 @@ def test_gram_nuclear_norms_leave_out_of_range_and_nan_blocks_to_the_svd(d):
             got, want = gram_nuclear_norms(G), nuclear_norm(G)
         assert got[4].tobytes() == want[4].tobytes()
         assert got[far].tobytes() == want[far].tobytes()
+
+
+def test_a_missing_gufunc_resolves_to_its_np_linalg_fallback():
+    assert blockmat._lapack_gufunc("no_such_gufunc", "d->d", np.linalg.eigvalsh) is np.linalg.eigvalsh
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3])
+def test_gram_nuclear_norms_raise_when_eigvalsh_fails(monkeypatch, d):
+    # LAPACK's failure shows as NaN eigenvalues: they fail the _SQ_MIN test and
+    # the per-block path raises rather than return a NaN weight, one block or a
+    # stack, and when an infinite block sends the others to eigvalsh alone.
+    monkeypatch.setattr(blockmat, "_eigvalsh", nan_eigvalsh)
+    G = np.random.default_rng(28 + d).standard_normal((6, 5, d))
+    for M in (G[2], G):
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            gram_nuclear_norms(M)
+    G[0, 0, 1] = np.inf
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        gram_nuclear_norms(G)
 
 
 def test_gram_nuclear_norms_of_empty_stacks():

@@ -1,15 +1,19 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from conftest import (StaleCacheError, cost_from_cache, dense_cost, gcache_residual,
+from conftest import (StaleCacheError, cost_from_cache, dense_cost, gcache_residual, nan_svd,
                       random_instance, random_point, random_stiefel, verified_grad_oracle)
 
 from blocksdp import (BlockSparseSym, FactorPoint, ParseError, block_minimize,
                       compute_gcache, evaluate_cost, feasibility_residual,
                       is_orthonormal, nuclear_norm, project_stiefel, read_yfactor,
-                      riemannian_grad_oracle, write_yfactor)
-from blocksdp.stiefel import _column_frames
+                      riemannian_grad_oracle, stiefel, write_yfactor)
+from blocksdp.blockmat import _eigvalsh
+from blocksdp.stiefel import _QR_RANGE, _column_frames, _svd
 
 
 def test_project_identity_and_scalar():
@@ -44,6 +48,79 @@ def test_project_stack_matches_each_matrix_and_names_deficient_member():
     M[4, :, 2] = M[4, :, 0]
     with pytest.raises(ValueError, match=r"matrix 4: 1 of 3 columns deficient"):
         project_stiefel(M)
+
+
+def test_project_refuses_non_finite_entries():
+    # np.linalg.LinAlgError, a ValueError, before the SVD: an infinite entry at
+    # d = 2 no longer gives a frame.
+    rng = np.random.default_rng(25)
+    for shape in [(5, 1), (5, 2), (4, 5, 1), (4, 5, 2)]:
+        for bad in (np.nan, np.inf, -np.inf):
+            M = rng.standard_normal(shape)
+            M[..., -1, -1] = bad
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^cannot project a matrix with non-finite entries$"):
+                project_stiefel(M)
+    # At d = 3 an infinite entry in the first column would hang LAPACK's SVD, so
+    # the d = 3 calls run in a child process that must finish within the timeout.
+    probe = ("import numpy as np; from blocksdp import project_stiefel\n"
+             "for shape in [(5, 3), (4, 5, 3)]:\n"
+             "    for bad in (np.nan, np.inf, -np.inf):\n"
+             "        M = np.ones(shape); M[..., 0, 0] = bad\n"
+             "        try: project_stiefel(M)\n"
+             "        except np.linalg.LinAlgError as exc: print(exc)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.splitlines() == ["cannot project a matrix with non-finite entries"] * 6
+
+
+def kernel_inputs():
+    """Single blocks and stacks (k, r, d), d in {1, 2, 3} and r in {d, ..., 8}:
+    contiguous and strided, holding -0.0 entries and a -0.0 block, at scales
+    across _QR_RANGE, and the empty stack (0, r, d)."""
+    rng = np.random.default_rng(26)
+    lo, hi = (round(np.log2(b)) for b in _QR_RANGE)
+    for d in (1, 2, 3):
+        for r in range(d, 9):
+            M = rng.standard_normal((5, r, d))
+            M[1, 0] = -0.0
+            M[2] = -0.0
+            W = rng.standard_normal((5, d, 2 * r))
+            W[3, :, 0] = -0.0
+            for e in (lo, lo // 2, 0, hi // 2, hi):
+                for A in (M * 2.0 ** e, (W * 2.0 ** e).swapaxes(1, 2)[:, ::2]):
+                    yield from (A, A[1], A[2], A[3], A[::2], A[:, ::-1])
+            yield np.zeros((0, r, d))
+
+
+def layout(arrays):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+def test_direct_kernels_match_np_linalg_byte_for_byte():
+    # The SVD and the Gram eigenvalues of a step, single or batched, strided or
+    # not: the direct gufunc calls give np.linalg's bytes and, on finite input,
+    # raise no floating-point flag that np.linalg's np.errstate would have hidden.
+    for A in kernel_inputs():
+        G = A.swapaxes(-2, -1) @ A
+        with np.errstate(all="raise"):
+            got_svd = _svd(A)
+            got_eig = [_eigvalsh(S) for S in (G, G.swapaxes(-2, -1))]
+        assert layout(got_svd) == layout(np.linalg.svd(A, full_matrices=False))
+        assert layout(got_eig) == layout([np.linalg.eigvalsh(S) for S in (G, G.swapaxes(-2, -1))])
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_svd_raises_linalg_error(monkeypatch):
+    # LAPACK's failure shows as NaN outputs; both callers of the SVD raise on them.
+    monkeypatch.setattr(stiefel, "_svd", nan_svd)
+    rng = np.random.default_rng(27)
+    for shape in [(8, 1), (5, 3), (4, 5, 2), (4, 5, 3)]:
+        G = rng.standard_normal(shape)
+        for call in (block_minimize, project_stiefel):
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                call(G)
 
 
 def test_block_minimize_examples():
