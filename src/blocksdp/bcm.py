@@ -204,8 +204,6 @@ class RunReport:
     termination: str  # tolerance | max_iters | stalled
     records: RunLog
     f0: float
-    best_grad_norm_sq: float
-    best_k: int
     max_cost_drift: float
     wall_ns: int
 
@@ -483,8 +481,6 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
     stall_window = STALL_WINDOW_FACTOR * n
 
     records = RunLog()
-    best_gradsq = float("inf")
-    best_k = -1
     max_drift = 0.0
     final_gradsq = None
     reason = None
@@ -496,9 +492,6 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
         stall_hit = state.stall_count >= stall_window
         if state.k % check_period == 0 or stall_hit:
             gradsq_here = grad_norm_sq_fast(point)
-            if gradsq_here < best_gradsq:
-                best_gradsq = gradsq_here
-                best_k = state.k
             if gradsq_here <= config.grad_tol:
                 reason, final_gradsq = "tolerance", gradsq_here
                 break
@@ -527,8 +520,6 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
 
     if final_gradsq is None:
         final_gradsq = grad_norm_sq_fast(point)
-    if final_gradsq < best_gradsq:
-        best_gradsq, best_k = final_gradsq, state.k
 
     return RunReport(
         point=point,
@@ -538,8 +529,6 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
         termination=reason,
         records=records,
         f0=f0,
-        best_grad_norm_sq=best_gradsq,
-        best_k=best_k,
         max_cost_drift=max_drift,
         wall_ns=time.perf_counter_ns() - t0,
     )

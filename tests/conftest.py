@@ -180,15 +180,13 @@ def reference_solve(Q, config):
     refresh_period = config.refresh_period or 10 * n
     max_iters = config.max_iters or iteration_bound(Q, config.sampling, f0, -Q.c2(),
                                                     config.grad_tol)
-    records, best_gradsq, best_k, max_drift = [], float("inf"), -1, 0.0
+    records, max_drift = [], 0.0
     final_gradsq = None
     while True:
         gradsq_here = None
         stall_hit = state.stall_count >= STALL_WINDOW_FACTOR * n
         if state.k % check_period == 0 or stall_hit:
             gradsq_here = grad_norm_sq_fast(point)
-            if gradsq_here < best_gradsq:
-                best_gradsq, best_k = gradsq_here, state.k
             if gradsq_here <= config.grad_tol:
                 reason, final_gradsq = "tolerance", gradsq_here
                 break
@@ -217,10 +215,8 @@ def reference_solve(Q, config):
             max_drift = max(max_drift, _refresh(state, Q))
     if final_gradsq is None:
         final_gradsq = grad_norm_sq_fast(point)
-    if final_gradsq < best_gradsq:
-        best_gradsq, best_k = final_gradsq, state.k
     return RunReport(point, state.k, point.cost,
-                     final_gradsq, reason, records, f0, best_gradsq, best_k, max_drift, 0)
+                     final_gradsq, reason, records, f0, max_drift, 0)
 
 
 def generate_maxcut_loop(n, edge_prob, seed, weighted=False):

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (align_blocks, dense_cost, gcache_residual, neighbors, random_instance,
-                      triangle)
+                      random_point, triangle)
 from lemma_oracles import lemma_oracles
 
 from blocksdp import (BlockSparseSym, SolverConfig, certify_global, generate_maxcut,
@@ -213,6 +213,7 @@ def test_c08_sampling_distributions():
 
 def test_c09_small_instance_sdp_oracle():
     rng = np.random.default_rng(109)
+    point_rng = np.random.default_rng(209)
     lines = []
     for n, seed in [(4, 1), (5, 2), (6, 3)]:
         Q = generate_maxcut(n, 0.8, seed=seed, weighted=True)
@@ -245,8 +246,18 @@ def test_c09_small_instance_sdp_oracle():
                                   log_every=10 ** 9)).final_cost
             for s in range(50))
         assert abs(value - restart_best) <= 1e-6
+
+        # oracle 4: the certificate's lower bound, which bench takes F* from,
+        # holds at feasible points that are not stationary
+        top_bound = -np.inf
+        for _ in range(20):
+            cert = certify_global(random_point(point_rng, Q, r), Q)
+            assert cert.verdict == "not-stationary", (n, cert)
+            assert cert.lower_bound <= value and cert.lower_bound <= brute, (n, cert)
+            top_bound = max(top_bound, cert.lower_bound)
         lines.append(f"n={n}: cert {value:.6f} <= lifts {best_lift:.6f}, "
-                     f"brute {brute:.6f}, restarts {restart_best:.6f}")
+                     f"brute {brute:.6f}, restarts {restart_best:.6f}; "
+                     f"random-point bounds <= {top_bound:.6f}")
     print("ACCEPTANCE 9 PASS: " + "; ".join(lines))
 
 

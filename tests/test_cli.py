@@ -247,7 +247,7 @@ def test_bench_refuses_fstar_before_any_solve(tmp_path, capsys, monkeypatch, fst
 ])
 def test_bench_refuses_trial_settings_before_any_solve(tmp_path, capsys, monkeypatch,
                                                        option, value, message):
-    # The trials' settings are validated before F* is resolved by a full-rank solve.
+    # The trials' settings are validated before the first trial's solve.
     inst = write_triangle(tmp_path)
     solves = []
     monkeypatch.setattr(blocksdp.bcm, "solve", lambda *a, **k: solves.append(a))
@@ -477,12 +477,15 @@ def test_bench_triangle(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["violations"] == 0
-    assert doc["fstar_source"] in ("certified", "dual-bound")
-    assert doc["fstar"] == pytest.approx(-3.0, abs=1e-6)
     assert doc["k_importance"] <= doc["k_uniform"]
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 2 * 3  # header + schemes x trials
     assert lines[0].startswith("scheme,seed,f0,")
+    # F* is the largest of the trials' certificate bounds, at or below the
+    # triangle's SDP optimum -3.
+    bounds = [float(row["lower_bound"]) for row in csv.DictReader(lines)]
+    assert doc["fstar_source"] == "trials"
+    assert doc["fstar"] == max(bounds) <= -3.0
     # Every bound is the paper's, from the triangle's d = 1, n = 3, C1 = 2 and C2 = 6:
     # 2 d n C1 = 12 uniform, 2 d C2 = 12 importance.
     def by_hand(scheme, f0):
@@ -496,10 +499,10 @@ def test_bench_triangle(tmp_path, capsys):
     assert doc["k_importance"] == by_hand("importance", worst_f0)
 
 
-def test_bench_fstar_is_the_polished_points_lower_bound(tmp_path, capsys, monkeypatch):
-    # Without --fstar, F* is the certificate's lower bound at the full-rank
-    # point, also when that point is certified: its cost lies above the SDP
-    # optimum, the bound at or below it.
+def test_bench_fstar_is_the_trials_largest_lower_bound(tmp_path, capsys, monkeypatch):
+    # Without --fstar, each trial certifies its final point once, its row
+    # carries that certificate's lower bound, and F* is the largest of them:
+    # at or below each trial's cost and the triangle's SDP optimum -3.
     inst = write_triangle(tmp_path)
     seen = []
     certify = analysis.certify_global
@@ -511,17 +514,27 @@ def test_bench_fstar_is_the_polished_points_lower_bound(tmp_path, capsys, monkey
 
     monkeypatch.setattr(analysis, "certify_global", recording)
     code, out, _ = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
-                                "--tol", "1e-4", "--trials", "1"])
+                                "--tol", "1e-4", "--trials", "2"])
     assert code == 0
     doc = json.loads(out)
-    [(cert, cost)] = seen
-    assert cert.verdict == "certified-global" and doc["fstar_source"] == "certified"
-    assert doc["fstar"] == cert.lower_bound <= cost
+    assert len(seen) == len(doc["rows"]) == 2 * 2
+    assert [row["lower_bound"] for row in doc["rows"]] == [cert.lower_bound for cert, _ in seen]
+    assert all(cert.lower_bound <= cost for cert, cost in seen)
+    assert doc["fstar_source"] == "trials"
+    assert doc["fstar"] == max(cert.lower_bound for cert, _ in seen) <= -3.0
+    # A supplied F* is used as given; the rows still carry their bounds.
+    code, out, _ = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
+                                "--tol", "1e-4", "--trials", "2", "--fstar", "-4"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["fstar"], doc["fstar_source"]) == (-4.0, "supplied")
+    assert all(row["lower_bound"] <= row["final_cost"] for row in doc["rows"])
 
 
-def test_bench_solves_one_eigenproblem_per_fstar(tmp_path, capsys, monkeypatch):
-    # The eigenvalue is shifted down by 1, so the full-rank point is not
-    # certified and F* comes from the dual bound of the same eigen-solve.
+def test_bench_solves_one_eigenproblem_per_trial(tmp_path, capsys, monkeypatch):
+    # The eigenvalue is shifted down by 1: no trial's point certifies, and F*
+    # follows the shifted bounds F(Y) + dn * min(lambda_min, 0), one
+    # eigen-solve per trial.
     inst = write_triangle(tmp_path)
     calls = []
     solve_eig = analysis._smallest_eigenvalue
@@ -533,13 +546,15 @@ def test_bench_solves_one_eigenproblem_per_fstar(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(analysis, "_smallest_eigenvalue", shifted)
     code, out, _ = run(capsys, ["bench", "--input", str(inst), "--rank", "2",
-                                "--tol", "1e-4", "--trials", "1"])
+                                "--tol", "1e-4", "--trials", "3"])
     assert code == 0
     doc = json.loads(out)
-    assert len(calls) == 1
-    assert doc["fstar_source"] == "dual-bound"
-    # F(Y) + dn * min(lambda_min, 0) at the full-rank optimum -3
-    assert doc["fstar"] == pytest.approx(-3.0 + 3 * min(calls[0] - 1.0, 0.0), abs=1e-6)
+    assert len(calls) == 2 * 3
+    assert doc["fstar_source"] == "trials"
+    shifted_bounds = [row["final_cost"] + 3 * min(lam - 1.0, 0.0)
+                      for row, lam in zip(doc["rows"], calls)]
+    assert doc["fstar"] == pytest.approx(max(shifted_bounds), abs=1e-12)
+    assert doc["fstar"] <= -4.0  # the shift lowers each bound by about dn = 3
 
 
 def test_solve_rerun_reproduces_report(tmp_path, capsys):

@@ -1,20 +1,25 @@
-"""Peak memory of the readers, of the construction of Q and of the cost.
+"""Peak memory of the readers, of the construction of Q, of the cost and of
+`blocksdp bench`.
 
 On a seeded Max-Cut instance of the benchmark's size (n = 5000, degree 10,
 rank 8) the traced peak (tracemalloc) of each call, above what was held
 before it, stays within a small multiple of the bytes it returns: the
 readers hand the open file to one conversion pass instead of a list of its
 lines, construction sorts one key array and gathers each block once, and the
-cost fills its array of pair terms a chunk of pairs at a time.
+cost fills its array of pair terms a chunk of pairs at a time.  `bench`
+takes F* from its trials' sparse certificates, so above DENSE_EIG_CUTOFF it
+holds no dn x dn array.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from blocksdp import (BlockSparseSym, evaluate_cost, generate_maxcut, project_stiefel, read_bsm,
-                      read_yfactor, write_bsm, write_yfactor)
+from blocksdp import (BlockSparseSym, analysis, evaluate_cost, generate_maxcut, project_stiefel,
+                      read_bsm, read_yfactor, write_bsm, write_yfactor)
+from blocksdp.cli import main
 
 
 def traced_peak(fn):
@@ -84,3 +89,19 @@ def test_evaluate_cost_peak_is_a_small_multiple_of_its_terms(maxcut):
     _, peak = traced_peak(lambda: evaluate_cost(Y, Q))
     terms = 8 * (Q.num_blocks + 1)
     assert peak <= 6 * terms, (peak, terms)
+
+
+def test_bench_without_fstar_holds_no_dense_certificate(tmp_path, capsys):
+    # dn = 2100 takes the sparse eigsh branch; one dn x dn array of doubles is
+    # 35.3 MB, the measured peak about 1.6 MB.
+    Q = generate_maxcut(2100, 0.003, seed=1)
+    assert Q.d * Q.n > analysis.DENSE_EIG_CUTOFF
+    write_bsm(Q, tmp_path / "big.bsm")
+    argv = ["bench", "--input", str(tmp_path / "big.bsm"), "--rank", "8", "--trials", "1",
+            "--max-iters", "2000"]
+    code, peak = traced_peak(lambda: main(argv))
+    out = capsys.readouterr().out  # two reports: the warm-up call's, then the traced one's
+    doc = json.loads(out[out.rindex("\n{\n") + 1:])
+    assert code == 0 and doc["fstar_source"] == "trials"
+    dense = 8 * (Q.d * Q.n) ** 2
+    assert peak <= dense / 4, (peak, dense)
