@@ -15,12 +15,14 @@ generator draws its own indices or uniforms from state.rng, 1024 at a time
 (the same stream); sample_block takes an importance draw's uniform and
 searches the sums of chunks of about sqrt(n) weights, then one chunk.  solve
 takes the steps between two checks in one call of the scheme's run
-generator: uniform indices are cut into runs of distinct, non-adjacent,
-hence commuting, steps that bcm_run applies bit-identically to one bcm_step
-per index (short runs take bcm_step); importance steps, each drawn from the
-weights the one before left, take sample_block and bcm_step in turn.  The
-iteration log, a RunLog, holds the logged steps in typed columns, 48 bytes a
-step, and builds each LogRecord when it is read.
+generator: uniform indices, known before any step is taken, go to bcm_run
+in windows of up to DRAW_CHUNK, which it applies by dependency level,
+bit-identically to one bcm_step per index (steps at distinct, pairwise
+non-adjacent blocks commute, and each coupling receives its additions in
+index order); importance steps, each drawn from the weights the one before
+left, take sample_block and bcm_step in turn.  The iteration log, a RunLog,
+holds the logged steps in typed columns, 48 bytes a step, and builds each
+LogRecord when it is read.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ STALL_RTOL = 1e-14
 # blocks near a saddle), so a stall is declared only after confirming that
 # no block offers a descent above the stall threshold.
 STALL_WINDOW_FACTOR = 5
-# Shortest run that bcm_run batches: for runs of two or three, one bcm_step
-# per block is faster (Max-Cut and rotation sync, degree 10 to 1000).
+# Fewest steps of one dependency level that bcm_run batches: for two or three,
+# one bcm_step per block is faster (Max-Cut and rotation sync, degree 10 to 1000).
 RUN_BATCH_MIN = 4
 # Draws per generator call in a solve: uniform indices, importance uniforms.
 DRAW_CHUNK = 1024
@@ -130,6 +132,9 @@ class RunLog(Sequence):
     cost, pred_descent and meas_descent as float64, 48 bytes a step; the
     squared gradient norms sit in a dict keyed by row, for the rows that
     carry one.  Indexing, slicing (a list) and iteration build the records.
+    wall_ns is taken once per run of the solve loop, so the steps of one run
+    share it: a uniform window of up to DRAW_CHUNK steps, one importance run
+    between two checks.
     """
 
     __slots__ = ("_k", "_cost", "_block", "_pred", "_meas", "_gradsq", "_wall_ns")
@@ -319,45 +324,116 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
 
 
 def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> list:
-    """bcm_step at each block of a conflict-free run (distinct blocks, no two
-    adjacent in Q): one block_minimize of the run's nonzero couplings (one
-    batched SVD, a QR at d = 1), the neighbour updates added in run order by
-    one np.add.at and the cost accumulated in sequence, bit-identical to one
-    bcm_step per block.  Runs shorter than RUN_BATCH_MIN, runs whose steps
-    would fail (block_minimize refuses a non-finite coupling before anything
-    is applied, and the steps raise as bcm_step does) and weighted states
-    take bcm_step.  Returns (cost_before, pred, meas) per step.
+    """bcm_step at each index of run, in order, bit-identical to one bcm_step
+    per index; returns (cost_before, pred, meas) per step.
+
+    The steps are applied by dependency level (_levels): a level holds
+    distinct, pairwise non-adjacent blocks, and every coupling receives its
+    additions in run order.  A level of RUN_BATCH_MIN or more steps takes one
+    block_minimize of its nonzero couplings (one batched SVD, a QR at d = 1)
+    and one ordered np.add.at of the neighbour updates; a smaller one takes
+    bcm_step.  The cost is accumulated in run order each time the steps done
+    form a prefix of run.  A level that runs ahead of a step before it keeps
+    an undo record of the rows it writes until then.  A failure (a
+    non-finite coupling, result or cost, or a failed SVD) restores those
+    rows and replays the rest of the run by bcm_step, which raises as the
+    sequential steps do.  Runs shorter than RUN_BATCH_MIN and weighted
+    states take bcm_step.
     """
     point = state.point
-    if len(run) >= RUN_BATCH_MIN and state.weights is None and point.gcache.flags.c_contiguous:
-        G = point.gcache[run]
-        live = G.any(axis=(1, 2))  # a zero G_i makes its step a no-op; the minimizer skips it
-        i, G = np.array(run)[live], G[live]
+    if len(run) < RUN_BATCH_MIN or state.weights is not None or not point.gcache.flags.c_contiguous:
+        return [(point.cost, *bcm_step(state, Q, i)) for i in run]
+    blocks, gcache, ptr = point.blocks, point.gcache, Q.mat.indptr
+    idx = np.array(run)
+    level = np.array(_levels(Q, run, idx))
+    order = level.argsort(kind="stable")  # by level, in run order within one
+    ends = np.bincount(level).cumsum()  # level k (1, 2, ...) is order[ends[k - 1]:ends[k]]
+    sizes = np.diff(ends)
+    # closes[k - 1]: the steps done after level k are run[:ends[k]], none beyond.
+    closes = (np.maximum.accumulate(order)[ends[1:] - 1] == ends[1:] - 1).tolist()
+    # The batched levels' neighbour entries, in level order.
+    step = idx[order]
+    p0 = ptr[step]
+    count = np.where(np.repeat(sizes >= RUN_BATCH_MIN, sizes), ptr[step + 1] - p0, 0)
+    entry = np.concatenate([[0], count.cumsum()])
+    at = _row_entries(p0, count)
+    nbr, nbr_q = Q.cols[at], Q.mat.data[at]
+    size = point.r * point.d  # one flat np.add.at (its fast form), in run order
+    flat = nbr[:, None] * size + np.arange(size)
+    cost_before, pred, meas = np.zeros((3, len(run)))
+    live = np.zeros(len(run), dtype=bool)
+    undo, done = [], 0  # (rows, G, blocks, Y) written since run[:done] was done
+
+    for k, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+        in_order = closes[k] and not undo  # the level is run[done:b]
+        if b - a < RUN_BATCH_MIN and in_order:
+            for t in range(done, b):
+                cost_before[t] = point.cost
+                pred[t], meas[t] = bcm_step(state, Q, run[t])
+            done = b
+            continue
+        cost0, write = point.cost, None  # the cost of run[:done]
         try:
-            Y_new, nuc = block_minimize(G)
-        except ValueError:  # a non-finite coupling: the steps raise at its block
-            pass
-        else:
-            Y_old = point.blocks[i]
-            inner_old = _vdots(G, Y_old)
-            pred = -2.0 * (nuc + inner_old)
-            meas = 2.0 * (_vdots(G, Y_new) - inner_old)
-            cost = np.cumsum(np.concatenate([[point.cost], pred]))
-            if np.isfinite(cost).all() and np.isfinite(Y_new).all():
-                p0, p1 = Q.mat.indptr[i], Q.mat.indptr[i + 1]
-                count = p1 - p0
-                at = np.arange(count.sum()) + np.repeat(p0 - (count.cumsum() - count), count)
-                size = point.r * point.d  # one flat np.add.at (its fast form), in run order
-                flat = Q.cols[at, None] * size + np.arange(size)
-                np.add.at(point.gcache.reshape(-1), flat.ravel(),
-                          (np.repeat(Y_new - Y_old, count, axis=0) @ Q.mat.data[at]).ravel())
-                point.blocks[i] = Y_new
-                point.cost = float(cost[-1])
-                steps = np.zeros((3, len(run)))
-                steps[0] = cost[live.cumsum() - live]
-                steps[1:, live] = pred, meas
-                return list(zip(*steps.tolist()))
-    return [(point.cost, *bcm_step(state, Q, i)) for i in run]
+            if b - a >= RUN_BATCH_MIN:
+                write = _level_minimize(point, step[a:b], order[a:b], pred, meas, live)
+            else:
+                for t in order[a:b].tolist():
+                    i = run[t]
+                    rows = Q.cols[ptr[i]:ptr[i + 1]]
+                    undo.append((rows, gcache[rows], [i], blocks[[i]]))
+                    live[t] = gcache[i].any()
+                    pred[t], meas[t] = bcm_step(state, Q, i)
+                    point.cost = cost0  # accumulated in run order below
+            if closes[k]:
+                on = live[done:b]
+                cost = np.cumsum(np.concatenate([[cost0], pred[done:b][on]]))
+                if not math.isfinite(cost[-1]):
+                    raise NumericalError(f"non-finite cost {cost[-1]!r}")
+                cost_before[done:b] = cost[on.cumsum() - on]
+        except (ValueError, NumericalError):  # LinAlgError is a ValueError
+            for rows, G, i, Y in reversed(undo):
+                gcache[rows], blocks[i] = G, Y
+            point.cost = cost0
+            steps = zip(cost_before[:done].tolist(), pred[:done].tolist(), meas[:done].tolist())
+            return [*steps, *((point.cost, *bcm_step(state, Q, i)) for i in run[done:])]
+        if write is not None:
+            i, Y_old, Y_new, on = write
+            A, B = entry[a], entry[b]
+            rows, f, q, c = nbr[A:B], flat[A:B], nbr_q[A:B], count[a:b]
+            if on is not None:  # leave out the zero couplings' entries
+                keep = np.repeat(on, c)
+                rows, f, q, c = rows[keep], f[keep], q[keep], c[on]
+            if not in_order:
+                undo.append((rows, gcache[rows], i, Y_old))
+            np.add.at(gcache.reshape(-1), f.ravel(), (np.repeat(Y_new - Y_old, c, axis=0) @ q).ravel())
+            blocks[i] = Y_new
+        if closes[k]:
+            point.cost = float(cost[-1])
+            undo, done = [], b
+    return list(zip(cost_before.tolist(), pred.tolist(), meas.tolist()))
+
+
+def _level_minimize(point: FactorPoint, i: np.ndarray, pos: np.ndarray, pred, meas, live):
+    """Minimize the blocks i of one level, its steps at run positions pos, and
+    store their pred and meas.  Returns (blocks, Y_old, Y_new, live mask, None
+    when all are live) for the nonzero couplings; raises as block_minimize
+    does, and NumericalError for a non-finite result."""
+    G = point.gcache[i]
+    on = G.any(axis=(1, 2))  # a zero G_i makes its step a no-op; the minimizer skips it
+    if on.all():
+        on = None
+    else:
+        i, G, pos = i[on], G[on], pos[on]
+    Y_new, nuc = block_minimize(G)
+    Y_old = point.blocks[i]
+    inner_old = _vdots(G, Y_old)
+    p = -2.0 * (nuc + inner_old)
+    m = 2.0 * (_vdots(G, Y_new) - inner_old)
+    # G is finite, so a finite <G, Y_new>, hence a finite m, implies a finite Y_new.
+    if not (np.isfinite(p).all() and np.isfinite(m).all()):
+        raise NumericalError("non-finite update in a batched level")
+    pred[pos], meas[pos], live[pos] = p, m, True
+    return i, Y_old, Y_new, on
 
 
 def _vdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -366,21 +442,67 @@ def _vdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A.reshape(k, 1, r * d) @ B.reshape(k, r * d, 1)).ravel()
 
 
+def _row_entries(p0: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """p0[k], p0[k] + 1, ..., p0[k] + count[k] - 1 for every k, in order: the
+    positions in Q's block arrays of the rows starting at p0."""
+    ends = count.cumsum()
+    return np.arange(ends[-1]) + np.repeat(p0 - (ends - count), count)
+
+
+def _levels(Q: BlockSparseSym, run: list, idx: np.ndarray) -> list:
+    """The dependency level (1, 2, ...) of each step of run, whose blocks idx holds.
+
+    With X[v] the level of the last step at v or at a neighbour of v (0 for
+    none), a step at block i takes max(X[i] + 1, max X[j] over the
+    neighbours j of i): after every earlier step at i or adjacent to it, and
+    not before an earlier step that shares a neighbour with it, so that each
+    coupling receives its additions in run order.  A block with degree^2 > n
+    shares a neighbour with most blocks: its step takes a level of its own
+    after every earlier step, with every later step after it, and its
+    neighbours are not scanned.  X is indexed by a number per block that the
+    run touches, so the work is bounded by the run's neighbour entries, not n.
+    """
+    p0 = Q.mat.indptr[idx]
+    count = Q.mat.indptr[idx + 1] - p0
+    hub = count > math.isqrt(Q.n)
+    count[hub] = 0
+    touched = np.concatenate([idx, Q.cols[_row_entries(p0, count)]])
+    slot = np.empty(Q.n, dtype=np.intp)  # each block's number: a position where it is touched
+    slot[touched] = np.arange(len(touched))
+    ids = slot[touched].tolist()
+    X = [0] * len(ids)
+    levels, floor, since, start = [], 1, 0, len(run)
+    for b, end, barrier in zip(ids, (count.cumsum() + len(run)).tolist(), hub.tolist()):
+        if barrier:
+            top = max(levels[since:], default=floor - 1)
+            levels.append(top + 1)
+            floor, since = top + 2, len(levels)
+            continue
+        nbs = ids[start:end]
+        start = end
+        m = X[b] + 1
+        if m < floor:
+            m = floor
+        for j in nbs:
+            if X[j] > m:
+                m = X[j]
+        levels.append(m)
+        X[b] = m
+        for j in nbs:
+            X[j] = m
+    return levels
+
+
 def _uniform_runs(state: SolverState, Q: BlockSparseSym):
-    """Conflict-free runs of the uniform index stream, each applied by bcm_run and
-    yielded with its steps: a run ends at the cap sent for it, or before the
-    first index equal or adjacent to one of its members, found by stamping each
-    member and its neighbours with the run's number."""
-    ind, ptr = Q.cols, Q.mat.indptr.tolist()
-    stamp = np.zeros(Q.n, dtype=np.int64)
-    cap, run, rid = (yield), [], 1
+    """Windows of the uniform index stream, each applied by bcm_run and yielded
+    with its steps: min(cap, DRAW_CHUNK) indices, cap the one sent for it."""
+    cap, drawn = (yield), []
     while True:
-        for i in state.rng.integers(Q.n, size=DRAW_CHUNK).tolist():
-            if len(run) == cap or stamp[i] == rid:
-                cap, run, rid = (yield run, bcm_run(state, Q, run)), [], rid + 1
-            run.append(i)
-            stamp[ind[ptr[i]:ptr[i + 1]]] = rid
-            stamp[i] = rid
+        size = min(cap, DRAW_CHUNK)
+        while len(drawn) < size:
+            drawn += state.rng.integers(Q.n, size=DRAW_CHUNK).tolist()
+        run, drawn = drawn[:size], drawn[size:]
+        cap = yield run, bcm_run(state, Q, run)
 
 
 def _importance_runs(state: SolverState, Q: BlockSparseSym):
@@ -407,6 +529,17 @@ def _importance_runs(state: SolverState, Q: BlockSparseSym):
 Scheme = namedtuple("Scheme", "runs weighted rate")
 SAMPLING_SCHEMES = {"uniform": Scheme(_uniform_runs, False, lambda Q: 2.0 * Q.d * Q.n * Q.c1()),
                     "importance": Scheme(_importance_runs, True, lambda Q: 2.0 * Q.d * Q.c2())}
+
+
+def _stall_count(count: int, steps: list, rtol: float) -> int:
+    """The count of stalled steps in a row after steps (cost_before, pred,
+    meas), count before them: a step stalls when |pred| < rtol (1 + |cost|).
+    Read from the end, so a run whose last step descends costs one test."""
+    for t in range(len(steps) - 1, -1, -1):
+        cost_before, pred, _ = steps[t]
+        if not abs(pred) < rtol * (1.0 + abs(cost_before)):
+            return len(steps) - 1 - t
+    return count + len(steps)
 
 
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
@@ -511,9 +644,7 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
             break
         records._add_run(k, run, steps, gradsq_here, time.perf_counter_ns() - t0,
                          config.log_every)
-        for cost_before, pred, _ in steps:
-            stalled = abs(pred) < config.stall_rtol * (1.0 + abs(cost_before))
-            state.stall_count = state.stall_count + 1 if stalled else 0
+        state.stall_count = _stall_count(state.stall_count, steps, config.stall_rtol)
         state.k += len(run)
         if state.k % refresh_period == 0:
             max_drift = max(max_drift, _refresh(state, Q))

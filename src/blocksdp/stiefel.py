@@ -109,6 +109,19 @@ def _polar_factor(M: np.ndarray):
 _QR_RANGE = (2.0 ** -459, 2.0 ** 459)
 
 
+def _np_qr_r_raw(a: np.ndarray) -> np.ndarray:
+    """qr_r_raw's contract from np.linalg.qr(mode="raw"): factor a in place, return tau."""
+    h, tau = np.linalg.qr(a, mode="raw")
+    a[...] = h.swapaxes(-1, -2)
+    return tau
+
+
+# LAPACK's dgeqrf of each matrix of a stack, numpy's qr_r_raw gufunc called
+# directly as np.linalg.qr(mode="raw") calls it: it overwrites its operand with
+# R and the reflectors (the transpose of that mode's h) and returns tau.
+_qr_r_raw = _lapack_gufunc("qr_r_raw", "d->d", _np_qr_r_raw)
+
+
 def _column_frames(A: np.ndarray):
     """U V^T and the singular values (k, 1) of each matrix of a stack A (k, r, 1),
     k >= 1, from one batched Householder QR, bit for bit np.linalg.svd's; None
@@ -116,20 +129,22 @@ def _column_frames(A: np.ndarray):
 
     Within that range dgesdd (jobz='S', M >= N = 1) is dgeqrf + dorgqr and the
     SVD of the 1 x 1 factor R: U = sign(R_11) Q, V^T = 1 and sigma = |R_11|.
-    np.linalg.qr(mode="raw") runs the same dgeqrf and leaves R_11 = beta and
-    the reflector's tail in h[:, 0], so dorg2r's column is
-    q = [1 - tau, -tau h[:, 0, 1:]].  The + 0.0 gives the SVD's +0.0 where q
-    holds -0.0 (U V^T is a product that starts from +0.0).  A single block is
-    left to the SVD, the faster call for one matrix.
+    dgeqrf (_qr_r_raw, on a copy) leaves R_11 = beta and the reflector's tail
+    in h[:, 1:], so dorg2r's column is q = [1 - tau, -tau h[:, 1:]].  The
+    + 0.0 gives the SVD's +0.0 where q holds -0.0 (U V^T is a product that
+    starts from +0.0).  A single block is left to the SVD, the faster call
+    for one matrix.
     """
     if A.ndim != 3 or A.shape[2] != 1 or not len(A):
         return None
     m = np.abs(A).max(axis=1)
     if not (_QR_RANGE[0] <= m.min() and m.max() <= _QR_RANGE[1]):  # NaN fails too
         return None
-    h, tau = np.linalg.qr(A, mode="raw")
-    beta = h[:, 0, :1]
-    q = h[:, 0] * -tau
+    a = np.array(A, dtype=float)
+    tau = _qr_r_raw(a)
+    h = a[:, :, 0]
+    beta = h[:, :1]
+    q = h * -tau
     q[:, 0] = 1.0 - tau[:, 0]
     return (np.sign(beta) * q + 0.0)[:, :, None], np.abs(beta)
 

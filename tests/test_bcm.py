@@ -378,7 +378,7 @@ def test_start_equals_per_block_loop(d, rank, n):
 # Replay fingerprints recorded with the O(n) cumsum draw, SVD nuclear norms
 # and the per-block start: (SHA-256 prefix of the sampled indices,
 # iterations, repr(final_cost)).  The sparse Max-Cut pin (n=2000, average
-# degree 6, mean conflict-free run about 20 steps) was recorded with one
+# degree 6, so its uniform windows take batched levels) was recorded with one
 # draw and one bcm_step per iteration, its importance pin (chunks of 44
 # weights, 2000 steps between checks) with one rng.random() call per draw.
 REPLAY = {
@@ -456,7 +456,7 @@ def counted_steps(monkeypatch):
 
 @pytest.fixture
 def batch_all(monkeypatch):
-    """bcm_run batches runs of every length, so short runs test the batched path."""
+    """bcm_run batches levels of every size, so short runs test the batched path."""
     monkeypatch.setattr(bcm, "RUN_BATCH_MIN", 1)
 
 
@@ -540,6 +540,209 @@ def test_run_with_nan_cost_names_the_same_block(batch_all):
     got, want, ref = run_against_steps(state, Q, [0, 3])
     assert got == want == (NumericalError, "non-finite update at block 3: cost=nan")
     assert state_bytes(state) == state_bytes(ref)
+
+
+def greedy_runs(Q, seq):
+    """seq cut into conflict-free runs, each ended before the first index equal
+    or adjacent to one of its members."""
+    runs, seen = [[]], set()
+    for i in seq:
+        if i in seen:
+            runs.append([])
+            seen = set()
+        runs[-1].append(i)
+        seen.update([i, *neighbors(Q, i)])
+    return runs
+
+
+def dependency_levels(Q, seq):
+    """The level (0, 1, ...) of each step of seq, by bcm_run's rule written out:
+    with W[v] the level of the last step adjacent to v and B[v] that of the
+    last step at v, a step at i takes max(W[i] + 1, B[i] + 1, max W[j] over
+    the neighbours j of i).  A block with degree^2 > n takes the level above
+    every earlier step, and every later step a level above it."""
+    W, B, levels, floor = {}, {}, [], 0
+    for i in seq:
+        nbrs = neighbors(Q, i)
+        if len(nbrs) ** 2 > Q.n:
+            level = max(levels, default=-1) + 1
+            floor = level + 1
+        else:
+            level = max([floor, W.get(i, -1) + 1, B.get(i, -1) + 1] + [W.get(j, -1) for j in nbrs])
+            B[i] = level
+            W.update(dict.fromkeys(nbrs, level))
+        levels.append(level)
+    return levels
+
+
+def arbitrary_sequences(Q, rng, count):
+    """count index sequences of 60 to 200 steps: uniform draws and, every
+    second one, draws from three blocks and their neighbours, dense in
+    repeats, adjacent pairs and shared neighbours."""
+    for t in range(count):
+        size = int(rng.integers(60, 201))
+        if t % 2:
+            yield rng.integers(Q.n, size=size).tolist()
+        else:
+            centres = rng.choice(Q.n, size=3, replace=False).tolist()
+            pool = sorted({*centres, *(j for c in centres for j in neighbors(Q, c))})
+            yield rng.choice(pool, size=size).tolist()
+
+
+def journaled_levels(levels):
+    """The levels that run ahead of a step before them: those after which, or
+    before which, the steps done are not a prefix of the sequence."""
+    order = np.argsort(levels, kind="stable")
+    ends = np.bincount(levels).cumsum()
+    prefix = [True, *(np.maximum.accumulate(order)[ends - 1] == ends - 1)]
+    return [v for v in range(len(ends)) if not (prefix[v] and prefix[v + 1])]
+
+
+@pytest.fixture
+def batched_minimizations(monkeypatch):
+    """The stack sizes of the block_minimize calls bcm makes on stacks."""
+    sizes = []
+
+    def counted(G):
+        if G.ndim == 3:
+            sizes.append(len(G))
+        return block_minimize(G)
+
+    monkeypatch.setattr(bcm, "block_minimize", counted)
+    return sizes
+
+
+# At scale 2^470 the d = 1 couplings pass 2^459, where a batched level leaves
+# the QR for the SVD (stiefel._column_frames).
+@pytest.mark.parametrize("d,scale", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 2.0 ** 470)],
+                         ids=["1", "2", "3", "1-past-qr-range"])
+@pytest.mark.parametrize("batch_every_level", [False, True], ids=["", "batch-all"])
+def test_run_of_any_sequence_equals_sequential_steps(d, scale, batch_every_level, monkeypatch,
+                                                     counted_steps, batched_minimizations):
+    if batch_every_level:
+        monkeypatch.setattr(bcm, "RUN_BATCH_MIN", 1)
+    rng = np.random.default_rng(90 + d)
+    seen = dict.fromkeys(["hub-free", "shared", "zero", "signed-zero", "journaled"], 0)
+    for trial in range(3):
+        Q = random_instance(rng, d, int(rng.integers(60, 90)), density=0.04, scale=scale)
+        hub = [len(neighbors(Q, i)) ** 2 > Q.n for i in range(Q.n)]
+        state = init_state(Q, SolverConfig(rank=d + trial % 3, seed=trial))
+        for seq in arbitrary_sequences(Q, rng, 6):
+            G = state.point.gcache
+            G[rng.choice(seq, size=2)] = 0.0  # zero couplings, until a neighbour steps
+            G[rng.choice(Q.n, size=5), 0, 0] = -0.0
+            signed_zero = np.signbit(G) & (G == 0.0)
+            levels = dependency_levels(Q, seq)
+            assert bcm._levels(Q, seq, np.array(seq)) == [v + 1 for v in levels]
+            counted_steps.clear()
+            batched_minimizations.clear()
+            got, want, ref = run_against_steps(state, Q, seq)
+            assert got == want
+            assert state_bytes(state) == state_bytes(ref)
+            sizes = np.bincount(levels)
+            if batch_every_level:  # one batched minimization per level, no single step
+                assert counted_steps == [] and len(batched_minimizations) == len(sizes)
+            else:
+                assert len(batched_minimizations) == (sizes >= bcm.RUN_BATCH_MIN).sum()
+                small = [t for t, v in enumerate(levels) if sizes[v] < bcm.RUN_BATCH_MIN]
+                assert sorted(counted_steps) == sorted(seq[t] for t in small)
+                seen["journaled"] += sum(sizes[v] < bcm.RUN_BATCH_MIN for v in journaled_levels(levels))
+            if not any(hub[i] for i in seq):  # levels merge the greedy runs
+                assert len(sizes) < len(greedy_runs(Q, seq))
+                seen["hub-free"] += 1
+            for v in range(len(sizes)):
+                nbrs = [j for t, i in enumerate(seq) if levels[t] == v for j in neighbors(Q, i)]
+                seen["shared"] += len(nbrs) > len(set(nbrs))
+            seen["zero"] += sum(step[1:] == (repr(0.0), repr(0.0)) for step in want)
+            seen["signed-zero"] += int((signed_zero & np.signbit(state.point.gcache)).sum())
+    assert seen.pop("hub-free") >= 15
+    if batch_every_level:
+        del seen["journaled"]  # no level takes single steps
+    assert min(seen.values()) > 0, seen
+
+
+def hub_instance(rng, n=64, hubs=3):
+    """d = 1: blocks 0 .. hubs - 1 coupled to about 60% of the others (degree^2 >
+    n), the rest sparse among themselves (degree^2 < n)."""
+    blocks = {(h, j): rng.standard_normal((1, 1)) for h in range(hubs) for j in range(hubs, n)
+              if rng.random() < 0.6}
+    blocks.update({(i, j): rng.standard_normal((1, 1)) for i in range(hubs, n)
+                   for j in range(i + 1, n) if rng.random() < 0.03})
+    return BlockSparseSym(1, n, blocks)
+
+
+def test_hub_steps_are_single_levels_between_batched_ones(counted_steps, batched_minimizations):
+    rng = np.random.default_rng(95)
+    Q = hub_instance(rng)
+    hub = [len(neighbors(Q, i)) ** 2 > Q.n for i in range(Q.n)]
+    assert hub[:3] == [True] * 3 and not any(hub[3:])
+    state = init_state(Q, SolverConfig(rank=3, seed=5))
+    hub_steps = 0
+    for _ in range(8):
+        seq = rng.integers(Q.n, size=150).tolist()
+        counted_steps.clear()
+        batched_minimizations.clear()
+        got, want, ref = run_against_steps(state, Q, seq)
+        assert got == want and state_bytes(state) == state_bytes(ref)
+        assert [i for i in counted_steps if hub[i]] == [i for i in seq if hub[i]]
+        assert batched_minimizations
+        hub_steps += sum(hub[i] for i in seq)
+    assert hub_steps >= 20
+
+
+def test_dense_runs_take_single_steps_in_order(counted_steps, batched_minimizations):
+    rng = np.random.default_rng(96)
+    for d in (1, 2):
+        Q = random_instance(rng, d, 20, density=0.7)
+        assert all(len(neighbors(Q, i)) ** 2 > Q.n for i in range(Q.n))
+        state = init_state(Q, SolverConfig(rank=d + 1, seed=d))
+        seq = rng.integers(Q.n, size=200).tolist()
+        counted_steps.clear()
+        got, want, ref = run_against_steps(state, Q, seq)
+        assert got == want and state_bytes(state) == state_bytes(ref)
+        assert counted_steps == seq and batched_minimizations == []
+
+
+def huge_coupling_fails_svd(monkeypatch, state, j):
+    """A fault: block j's coupling is scaled by 1e6, and the SVD of any matrix
+    with an entry that large returns LAPACK's NaN failure."""
+    state.point.gcache[j] *= 1e6
+    svd = stiefel._svd
+    monkeypatch.setattr(stiefel, "_svd", lambda M: nan_svd(M) if np.abs(M).max() > 1e5 else svd(M))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault,error", [
+    ("inf-coupling", "block coupling matrix has non-finite entries"),
+    ("failed-svd", "SVD did not converge"),
+    ("nan-cost", "non-finite update at block {j}: cost=nan")])
+def test_failure_after_earlier_levels_leaves_the_sequential_state(fault, error, monkeypatch,
+                                                                 batched_minimizations):
+    # Block j's first step follows a step at its neighbour a, so it lies in
+    # the second level, while steps after it lie in the first, which bcm_run
+    # applies before it finds the failure at j: it must undo them and fail as
+    # one bcm_step per index does, with the same error and state.
+    rng = np.random.default_rng(97)
+    Q = random_instance(rng, 3, 50, density=0.06)
+    state = init_state(Q, SolverConfig(rank=4, seed=6))
+    j = max(range(Q.n), key=lambda i: len(neighbors(Q, i)))
+    a = neighbors(Q, j)[0]
+    near = {a, j, *neighbors(Q, a), *neighbors(Q, j)}
+    free = [i for i in range(Q.n) if i not in near]
+    seq = [a, j, *rng.choice(free, size=30).tolist(), *rng.integers(Q.n, size=60).tolist()]
+    levels = dependency_levels(Q, seq)
+    assert levels[:2] == [0, 1] and levels.count(0) >= bcm.RUN_BATCH_MIN
+    if fault == "inf-coupling":
+        state.point.gcache[j, 1, 2] = np.inf
+    elif fault == "failed-svd":
+        huge_coupling_fails_svd(monkeypatch, state, j)
+    else:  # the first live step in order is j's: a's coupling is zero
+        state.point.cost = float("nan")
+        state.point.gcache[a] = 0.0
+    got, want, ref = run_against_steps(state, Q, seq)
+    assert got == want and got[1] == error.format(j=j)
+    assert state_bytes(state) == state_bytes(ref)
+    assert batched_minimizations  # the first level was minimized as one batch
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 5000, 2 ** 33])
@@ -710,12 +913,14 @@ def test_step_weights_are_nuclear_norms_without_warnings(d, scale):
 
 def test_every_step_minimizes_through_block_minimize(monkeypatch):
     # The one minimizer: an importance solve calls it once per step, a uniform
-    # solve once per batched run and once per short-run step with a nonzero
-    # coupling, and the blocks it minimizes sum to the steps with one.
-    minimized = []  # blocks per call
+    # solve once per batched level (RUN_BATCH_MIN or more steps of one
+    # dependency level) and once per other step with a nonzero coupling, and
+    # the blocks it minimizes sum to the steps with one.
+    minimized, recording = [], [True]  # blocks per call
 
     def counted(G):
-        minimized.append(len(G) if G.ndim == 3 else 1)
+        if recording[0]:
+            minimized.append(len(G) if G.ndim == 3 else 1)
         return block_minimize(G)
 
     monkeypatch.setattr(bcm, "block_minimize", counted)
@@ -726,11 +931,21 @@ def test_every_step_minimizes_through_block_minimize(monkeypatch):
     expected, steps = [], {"batched": 0, "short": 0, "zero": 0}
 
     def recorded_run(state, Q, run):
-        live = int(state.point.gcache[run].any(axis=(1, 2)).sum())
-        batched = len(run) >= bcm.RUN_BATCH_MIN
-        expected.extend([live] if batched else [1] * live)
-        steps["batched" if batched else "short"] += len(run)
-        steps["zero"] += len(run) - live
+        # Which steps find a nonzero coupling: those of one bcm_step per index.
+        ref, live = copy.deepcopy(state), []
+        recording[0] = False
+        for i in run:
+            live.append(bool(ref.point.gcache[i].any()))
+            bcm_step(ref, Q, i)
+        recording[0] = True
+        levels = dependency_levels(Q, run)
+        for level in range(max(levels) + 1):
+            members = [t for t, v in enumerate(levels) if v == level]
+            on = sum(live[t] for t in members)
+            batched = len(run) >= bcm.RUN_BATCH_MIN and len(members) >= bcm.RUN_BATCH_MIN
+            expected.extend([on] if batched else [1] * on)
+            steps["batched" if batched else "short"] += len(members)
+            steps["zero"] += len(members) - on
         return bcm_run(state, Q, run)
 
     monkeypatch.setattr(bcm, "bcm_run", recorded_run)
@@ -738,7 +953,7 @@ def test_every_step_minimizes_through_block_minimize(monkeypatch):
     report = solve(Q, SolverConfig(rank=3, seed=1, max_iters=2000))
     assert minimized == expected
     assert sum(minimized) == report.iterations - steps["zero"]
-    assert min(steps.values()) > 0  # batched and short runs, and zero couplings
+    assert min(steps.values()) > 0  # batched and short levels, and zero couplings
 
 
 @pytest.mark.filterwarnings("error")

@@ -400,7 +400,7 @@ def test_generate_maxcut_golden(tmp_path, capsys, args, n, edges, total, digest)
 
 
 # The SHA-256 of a `solve --log` file with each line's wall_ns removed: a
-# uniform run (batched conflict-free runs, every second step logged) and an
+# uniform run (batched dependency levels, every second step logged) and an
 # importance run, each with gradient checks inside the log.
 SOLVE_LOG_GOLDEN = [
     (["--n", "60", "--edge-prob", "0.05", "--seed", "6"],
