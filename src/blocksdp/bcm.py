@@ -10,19 +10,20 @@ from-scratch evaluation at every cache refresh.
 
 Randomness comes from numpy's default PCG64 generator seeded with
 SolverConfig.seed: one batched draw of the n starting blocks (none when a
-warm start is supplied), then one draw per sampled index.  Each scheme's run
-generator draws its own indices or uniforms from state.rng, 1024 at a time
-(the same stream); sample_block takes an importance draw's uniform and
-searches the sums of chunks of about sqrt(n) weights, then one chunk.  solve
-takes the steps between two checks in one call of the scheme's run
-generator: uniform indices, known before any step is taken, go to bcm_run
-in windows of up to DRAW_CHUNK, which it applies by dependency level,
-bit-identically to one bcm_step per index (steps at distinct, pairwise
-non-adjacent blocks commute, and each coupling receives its additions in
-index order); importance steps, each drawn from the weights the one before
-left, take sample_block and bcm_step in turn.  The iteration log, a RunLog,
-holds the logged steps in typed columns, 48 bytes a step, and builds each
-LogRecord when it is read.
+warm start is supplied), then one draw per sampled index.  A scheme's run
+function draws its indices or uniforms from state.rng, 1024 at a time (the
+same stream), and keeps those it has not used in state.draws; sample_block
+takes an importance draw's uniform and searches the sums of chunks of about
+sqrt(n) weights, then one chunk.  solve takes the steps between two checks
+in one call of the scheme's run function, which returns them as columns:
+uniform indices, known before any step is taken, go to bcm_run in windows of
+up to DRAW_CHUNK, which it applies by dependency level, bit-identically to
+one bcm_step per index (steps at distinct, pairwise non-adjacent blocks
+commute, and each coupling receives its additions in index order);
+importance steps, each drawn from the weights the one before left, take
+sample_block and bcm_step in turn.  The iteration log, a RunLog, holds the
+logged steps in typed columns, 48 bytes a step, and builds each LogRecord
+when it is read.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import time
 from array import array
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from itertools import repeat
+from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -105,6 +106,7 @@ class SolverState:
     k: int = 0
     weights: np.ndarray | None = None  # a weighted scheme's draw weights ||G_i||_*
     stall_count: int = 0
+    draws: list = field(default_factory=list)  # the scheme's drawn values not used yet
 
 
 @dataclass
@@ -132,9 +134,9 @@ class RunLog(Sequence):
     cost, pred_descent and meas_descent as float64, 48 bytes a step; the
     squared gradient norms sit in a dict keyed by row, for the rows that
     carry one.  Indexing, slicing (a list) and iteration build the records.
-    wall_ns is taken once per run of the solve loop, so the steps of one run
-    share it: a uniform window of up to DRAW_CHUNK steps, one importance run
-    between two checks.
+    wall_ns is taken once per run of the solve loop, so the steps of one run,
+    those between two checks (fewer where a refresh, the cap or the stall
+    test ends it), share it.
     """
 
     __slots__ = ("_k", "_cost", "_block", "_pred", "_meas", "_gradsq", "_wall_ns")
@@ -163,39 +165,24 @@ class RunLog(Sequence):
         return (self._k, self._cost, self._block, self._pred, self._meas,
                 map(self._gradsq.get, range(len(self))), self._wall_ns)
 
-    def _add_run(self, k: int, run: list, steps: list, gradsq, wall: int, every: int) -> None:
-        """Log the steps k, k + 1, ... of a run, (cost_before, pred, meas) each,
-        whose index is a multiple of every: all of them share wall, and the
-        first, step k, carries gradsq, the squared gradient norm checked
-        before the run (None if unchecked)."""
-        if len(run) == 1:  # a one-step run (all of them when every step is checked): appended as is
-            if k % every == 0:
-                if gradsq is not None:
-                    self._gradsq[len(self._k)] = gradsq
-                self._k.append(k)
-                self._block.append(run[0])
-                self._wall_ns.append(wall)
-                cost, pred, meas = steps[0]
-                self._cost.append(cost)
-                self._pred.append(pred)
-                self._meas.append(meas)
-            return
-        if every > 1:
+    def _add_run(self, k: int, blocks: list, cost: list, pred: list, meas: list, gradsq,
+                 wall: int, every: int) -> None:
+        """Log the steps k, k + 1, ... of a run, given as the columns a scheme's
+        run returns, whose index is a multiple of every: all of them share
+        wall, and the first, step k, carries gradsq, the squared gradient norm
+        checked before the run (None if unchecked)."""
+        if every > 1:  # the first step logged is k + first, which carries gradsq if it is k
             first = -k % every
-            run, steps, k = run[first::every], steps[first::every], k + first
-            if not run:
-                return
-            if first:
-                gradsq = None
+            blocks, cost, pred, meas = (c[first::every] for c in (blocks, cost, pred, meas))
+            k, gradsq = k + first, None if first else gradsq
         if gradsq is not None:
             self._gradsq[len(self._k)] = gradsq
-        self._k.extend(range(k, k + len(run) * every, every))
-        self._block.extend(run)
-        self._wall_ns.extend(repeat(wall, len(run)))
-        cost, pred, meas = zip(*steps)
-        self._cost.extend(cost)
-        self._pred.extend(pred)
-        self._meas.extend(meas)
+        self._k.fromlist(list(range(k, k + len(blocks) * every, every)))
+        self._block.fromlist(blocks)  # fromlist: faster than extend, for one step or 1,024
+        self._wall_ns.fromlist([wall] * len(blocks))
+        self._cost.fromlist(cost)
+        self._pred.fromlist(pred)
+        self._meas.fromlist(meas)
 
 
 @dataclass
@@ -294,7 +281,7 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     in the SVD or the weights' eigenvalues np.linalg.LinAlgError, both
     before anything changes; a non-finite cost or block raises
     NumericalError (after the update).  The one step of the solver:
-    every importance step and every short uniform run takes it.
+    every importance step and every short in-order level of bcm_run takes it.
     """
     point = state.point
     G, Y_old = point.gcache[i_k], point.blocks[i_k]
@@ -323,26 +310,42 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     return pred, meas
 
 
-def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> list:
+def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> tuple:
     """bcm_step at each index of run, in order, bit-identical to one bcm_step
-    per index; returns (cost_before, pred, meas) per step.
+    per index; returns the columns (cost_before, pred, meas), a list each.
 
     The steps are applied by dependency level (_levels): a level holds
     distinct, pairwise non-adjacent blocks, and every coupling receives its
-    additions in run order.  A level of RUN_BATCH_MIN or more steps takes one
-    block_minimize of its nonzero couplings (one batched SVD, a QR at d = 1)
-    and one ordered np.add.at of the neighbour updates; a smaller one takes
-    bcm_step.  The cost is accumulated in run order each time the steps done
-    form a prefix of run.  A level that runs ahead of a step before it keeps
-    an undo record of the rows it writes until then.  A failure (a
-    non-finite coupling, result or cost, or a failed SVD) restores those
-    rows and replays the rest of the run by bcm_step, which raises as the
-    sequential steps do.  Runs shorter than RUN_BATCH_MIN and weighted
-    states take bcm_step.
+    additions in run order.  A level in order (the steps done before and
+    after it form prefixes of run) of fewer than RUN_BATCH_MIN steps takes
+    bcm_step; every other level takes one block_minimize of its nonzero
+    couplings (one batched SVD, a QR at d = 1) and one ordered np.add.at of
+    the neighbour updates, and keeps an undo record of the rows it writes
+    while it runs ahead of a step before it.  The cost is accumulated in run
+    order each time the steps done form a prefix of run.  numpy's products
+    and sums warn where bcm_step's float arithmetic does not, so the levels,
+    scatters and single steps included, run under np.errstate(over="ignore",
+    invalid="ignore"); the isfinite tests catch each failure (a non-finite
+    coupling, result or cost, or a failed SVD), which restores the rows and
+    replays the rest of the run by bcm_step outside it, which raises, and
+    warns, as the sequential steps do.  Short runs and weighted states take
+    bcm_step.
     """
+    cost_before, pred, meas = np.zeros((3, len(run)))
+    done = _apply_levels(state, Q, run, cost_before, pred, meas)
+    for t in range(done, len(run)):  # a short run, or the rest of one after a failure
+        cost_before[t] = state.point.cost
+        pred[t], meas[t] = bcm_step(state, Q, run[t])
+    return cost_before.tolist(), pred.tolist(), meas.tolist()
+
+
+def _apply_levels(state: SolverState, Q: BlockSparseSym, run: list, cost_before, pred, meas) -> int:
+    """bcm_run's levels: fills the columns of the steps done and returns their
+    count: len(run); after a failure those done before it, the rows written
+    since then restored; 0 for short runs and weighted states."""
     point = state.point
     if len(run) < RUN_BATCH_MIN or state.weights is not None or not point.gcache.flags.c_contiguous:
-        return [(point.cost, *bcm_step(state, Q, i)) for i in run]
+        return 0
     blocks, gcache, ptr = point.blocks, point.gcache, Q.mat.indptr
     idx = np.array(run)
     level = np.array(_levels(Q, run, idx))
@@ -350,67 +353,59 @@ def bcm_run(state: SolverState, Q: BlockSparseSym, run: list) -> list:
     ends = np.bincount(level).cumsum()  # level k (1, 2, ...) is order[ends[k - 1]:ends[k]]
     sizes = np.diff(ends)
     # closes[k - 1]: the steps done after level k are run[:ends[k]], none beyond.
-    closes = (np.maximum.accumulate(order)[ends[1:] - 1] == ends[1:] - 1).tolist()
+    closes = np.maximum.accumulate(order)[ends[1:] - 1] == ends[1:] - 1
+    # The short levels in order: the steps done before and after each form prefixes of run.
+    single = (sizes < RUN_BATCH_MIN) & closes & np.concatenate([[True], closes[:-1]])
     # The batched levels' neighbour entries, in level order.
     step = idx[order]
     p0 = ptr[step]
-    count = np.where(np.repeat(sizes >= RUN_BATCH_MIN, sizes), ptr[step + 1] - p0, 0)
+    count = np.where(np.repeat(~single, sizes), ptr[step + 1] - p0, 0)
     entry = np.concatenate([[0], count.cumsum()])
     at = _row_entries(p0, count)
     nbr, nbr_q = Q.cols[at], Q.mat.data[at]
     size = point.r * point.d  # one flat np.add.at (its fast form), in run order
     flat = nbr[:, None] * size + np.arange(size)
-    cost_before, pred, meas = np.zeros((3, len(run)))
     live = np.zeros(len(run), dtype=bool)
     undo, done = [], 0  # (rows, G, blocks, Y) written since run[:done] was done
 
-    for k, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
-        in_order = closes[k] and not undo  # the level is run[done:b]
-        if b - a < RUN_BATCH_MIN and in_order:
-            for t in range(done, b):
-                cost_before[t] = point.cost
-                pred[t], meas[t] = bcm_step(state, Q, run[t])
-            done = b
-            continue
-        cost0, write = point.cost, None  # the cost of run[:done]
-        try:
-            if b - a >= RUN_BATCH_MIN:
-                write = _level_minimize(point, step[a:b], order[a:b], pred, meas, live)
-            else:
-                for t in order[a:b].tolist():
-                    i = run[t]
-                    rows = Q.cols[ptr[i]:ptr[i + 1]]
-                    undo.append((rows, gcache[rows], [i], blocks[[i]]))
-                    live[t] = gcache[i].any()
-                    pred[t], meas[t] = bcm_step(state, Q, i)
-                    point.cost = cost0  # accumulated in run order below
-            if closes[k]:
-                on = live[done:b]
-                cost = np.cumsum(np.concatenate([[cost0], pred[done:b][on]]))
-                if not math.isfinite(cost[-1]):
-                    raise NumericalError(f"non-finite cost {cost[-1]!r}")
-                cost_before[done:b] = cost[on.cumsum() - on]
-        except (ValueError, NumericalError):  # LinAlgError is a ValueError
-            for rows, G, i, Y in reversed(undo):
-                gcache[rows], blocks[i] = G, Y
-            point.cost = cost0
-            steps = zip(cost_before[:done].tolist(), pred[:done].tolist(), meas[:done].tolist())
-            return [*steps, *((point.cost, *bcm_step(state, Q, i)) for i in run[done:])]
-        if write is not None:
-            i, Y_old, Y_new, on = write
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, close, one in zip(ends[:-1].tolist(), ends[1:].tolist(), closes.tolist(),
+                                    single.tolist()):
+            if one:  # the level is run[done:b]
+                for t in range(done, b):
+                    cost_before[t] = point.cost
+                    pred[t], meas[t] = bcm_step(state, Q, run[t])
+                done = b
+                continue
+            cost0 = point.cost  # the cost of run[:done]
+            try:
+                i, Y_old, Y_new, on = _level_minimize(point, step[a:b], order[a:b],
+                                                      pred, meas, live)
+                if close:
+                    on_run = live[done:b]
+                    cost = np.cumsum(np.concatenate([[cost0], pred[done:b][on_run]]))
+                    if not math.isfinite(cost[-1]):
+                        raise NumericalError(f"non-finite cost {cost[-1]!r}")
+                    cost_before[done:b] = cost[on_run.cumsum() - on_run]
+            except (ValueError, NumericalError):  # LinAlgError is a ValueError
+                for rows, G, i, Y in reversed(undo):
+                    gcache[rows], blocks[i] = G, Y
+                point.cost = cost0
+                return done
             A, B = entry[a], entry[b]
             rows, f, q, c = nbr[A:B], flat[A:B], nbr_q[A:B], count[a:b]
             if on is not None:  # leave out the zero couplings' entries
                 keep = np.repeat(on, c)
                 rows, f, q, c = rows[keep], f[keep], q[keep], c[on]
-            if not in_order:
+            if not close:  # ahead of a step before it until a level closes the prefix
                 undo.append((rows, gcache[rows], i, Y_old))
-            np.add.at(gcache.reshape(-1), f.ravel(), (np.repeat(Y_new - Y_old, c, axis=0) @ q).ravel())
+            np.add.at(gcache.reshape(-1), f.ravel(),
+                      (np.repeat(Y_new - Y_old, c, axis=0) @ q).ravel())
             blocks[i] = Y_new
-        if closes[k]:
-            point.cost = float(cost[-1])
-            undo, done = [], b
-    return list(zip(cost_before.tolist(), pred.tolist(), meas.tolist()))
+            if close:
+                point.cost = float(cost[-1])
+                undo, done = [], b
+    return done
 
 
 def _level_minimize(point: FactorPoint, i: np.ndarray, pos: np.ndarray, pred, meas, live):
@@ -493,53 +488,57 @@ def _levels(Q: BlockSparseSym, run: list, idx: np.ndarray) -> list:
     return levels
 
 
-def _uniform_runs(state: SolverState, Q: BlockSparseSym):
-    """Windows of the uniform index stream, each applied by bcm_run and yielded
-    with its steps: min(cap, DRAW_CHUNK) indices, cap the one sent for it."""
-    cap, drawn = (yield), []
-    while True:
-        size = min(cap, DRAW_CHUNK)
-        while len(drawn) < size:
-            drawn += state.rng.integers(Q.n, size=DRAW_CHUNK).tolist()
-        run, drawn = drawn[:size], drawn[size:]
-        cap = yield run, bcm_run(state, Q, run)
+def _take(state: SolverState, cap: int, draw) -> list:
+    """The next cap values of a scheme's stream: state.draws, then chunks of
+    DRAW_CHUNK from draw(size=...) (the same stream), whose rest stays there."""
+    draws = state.draws
+    while len(draws) < cap:
+        draws += draw(size=DRAW_CHUNK).tolist()
+    taken, draws[:cap] = draws[:cap], []
+    return taken
 
 
-def _importance_runs(state: SolverState, Q: BlockSparseSym):
-    """Importance runs: sent a cap, take up to that many steps, each drawn from
-    the weights the one before left, and yield the run and its steps.  A run
-    ends early once the weights sum to zero, and the run after it is empty."""
-    def uniforms():  # state.rng's stream, the same as one rng.random() per draw
-        while True:
-            yield from state.rng.random(size=DRAW_CHUNK).tolist()
-    uniform = uniforms().__next__
-    cap = yield
-    while True:
-        run, steps = [], []
-        while len(run) < cap and (i := sample_block(state, uniform())) is not None:
-            steps.append((state.point.cost, *bcm_step(state, Q, i)))
-            run.append(i)
-        cap = yield run, steps
+def _uniform_run(state: SolverState, Q: BlockSparseSym, cap: int) -> tuple:
+    """cap uniform steps, applied by bcm_run in windows of up to DRAW_CHUNK."""
+    blocks = _take(state, cap, functools.partial(state.rng.integers, Q.n))
+    windows = [bcm_run(state, Q, blocks[s:s + DRAW_CHUNK]) for s in range(0, cap, DRAW_CHUNK)]
+    return blocks, *(list(chain.from_iterable(column)) for column in zip(*windows))
 
 
-# A sampling scheme: runs(state, Q), primed by next() and sent a cap, takes at most cap
-# steps and yields (run, steps) with (cost_before, pred, meas) per step (none: a zero
-# gradient); weighted keeps the draw weights ||G_i||_* in state.weights; rate(Q) is the
-# constant of iteration_bound, multiplied left to right so that K keeps its last bit.
-Scheme = namedtuple("Scheme", "runs weighted rate")
-SAMPLING_SCHEMES = {"uniform": Scheme(_uniform_runs, False, lambda Q: 2.0 * Q.d * Q.n * Q.c1()),
-                    "importance": Scheme(_importance_runs, True, lambda Q: 2.0 * Q.d * Q.c2())}
+def _importance_run(state: SolverState, Q: BlockSparseSym, cap: int) -> tuple:
+    """Up to cap importance steps, each drawn from the weights the one before
+    left; fewer once the weights sum to zero, the uniforms left unused kept."""
+    columns = blocks, cost_before, pred, meas = [], [], [], []
+    uniforms = _take(state, cap, state.rng.random)
+    for t, u in enumerate(uniforms):
+        if (i := sample_block(state, u)) is None:
+            state.draws[:0] = uniforms[t + 1:]
+            break
+        blocks.append(i)
+        cost_before.append(state.point.cost)
+        p, m = bcm_step(state, Q, i)
+        pred.append(p)
+        meas.append(m)
+    return columns
 
 
-def _stall_count(count: int, steps: list, rtol: float) -> int:
-    """The count of stalled steps in a row after steps (cost_before, pred,
-    meas), count before them: a step stalls when |pred| < rtol (1 + |cost|).
+# A sampling scheme: run(state, Q, cap) takes at most cap (>= 1) steps and returns their
+# columns (blocks, cost_before, pred, meas), a list each (empty: a zero gradient); weighted
+# keeps the draw weights ||G_i||_* in state.weights; rate(Q) is the constant of
+# iteration_bound, multiplied left to right so that K keeps its last bit.
+Scheme = namedtuple("Scheme", "run weighted rate")
+SAMPLING_SCHEMES = {"uniform": Scheme(_uniform_run, False, lambda Q: 2.0 * Q.d * Q.n * Q.c1()),
+                    "importance": Scheme(_importance_run, True, lambda Q: 2.0 * Q.d * Q.c2())}
+
+
+def _stall_count(count: int, cost_before: list, pred: list, rtol: float) -> int:
+    """The count of stalled steps in a row after the steps of a run's columns,
+    count before them: a step stalls when |pred| < rtol (1 + |cost_before|).
     Read from the end, so a run whose last step descends costs one test."""
-    for t in range(len(steps) - 1, -1, -1):
-        cost_before, pred, _ = steps[t]
-        if not abs(pred) < rtol * (1.0 + abs(cost_before)):
-            return len(steps) - 1 - t
-    return count + len(steps)
+    for t in range(len(pred) - 1, -1, -1):
+        if not abs(pred[t]) < rtol * (1.0 + abs(cost_before[t])):
+            return len(pred) - 1 - t
+    return count + len(pred)
 
 
 def _refresh(state: SolverState, Q: BlockSparseSym) -> float:
@@ -617,8 +616,7 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
     max_drift = 0.0
     final_gradsq = None
     reason = None
-    runs = SAMPLING_SCHEMES[config.sampling].runs(state, Q)
-    next(runs)
+    run = SAMPLING_SCHEMES[config.sampling].run
 
     while True:
         gradsq_here = None
@@ -637,15 +635,16 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
             reason, final_gradsq = "max_iters", gradsq_here
             break
         k = state.k  # a run ends before the next check, refresh, cap or stall trigger
-        run, steps = runs.send(min(check_period - k % check_period, refresh_period - k % refresh_period,
-                                   max_iters - k, stall_window - state.stall_count))
-        if not run:  # all draw weights zero: every G_i, so the gradient, vanishes
+        blocks, cost_before, pred, meas = run(
+            state, Q, min(check_period - k % check_period, refresh_period - k % refresh_period,
+                          max_iters - k, stall_window - state.stall_count))
+        if not blocks:  # all draw weights zero: every G_i, so the gradient, vanishes
             reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
             break
-        records._add_run(k, run, steps, gradsq_here, time.perf_counter_ns() - t0,
-                         config.log_every)
-        state.stall_count = _stall_count(state.stall_count, steps, config.stall_rtol)
-        state.k += len(run)
+        records._add_run(k, blocks, cost_before, pred, meas, gradsq_here,
+                         time.perf_counter_ns() - t0, config.log_every)
+        state.stall_count = _stall_count(state.stall_count, cost_before, pred, config.stall_rtol)
+        state.k += len(blocks)
         if state.k % refresh_period == 0:
             max_drift = max(max_drift, _refresh(state, Q))
 

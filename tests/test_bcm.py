@@ -426,18 +426,30 @@ def state_bytes(state):
 
 
 def outcome(fn):
-    """fn's result, or the type and message of the error it raised."""
+    """fn's columns (cost_before, pred, meas), three lists, zipped into one row
+    of reprs per step, or the type and message of the error it raised."""
     try:
-        return [tuple(map(repr, step)) for step in fn()]
+        columns = fn()
     except (ValueError, NumericalError) as exc:
         return type(exc), str(exc)
+    assert len(columns) == 3 and all(type(column) is list for column in columns)
+    return [tuple(map(repr, step)) for step in zip(*columns)]
+
+
+def sequential_steps(state, Q, run):
+    """One bcm_step per index of run: the columns (cost_before, pred, meas)."""
+    columns = [], [], []
+    for i in run:
+        for column, value in zip(columns, (state.point.cost, *bcm_step(state, Q, i))):
+            column.append(value)
+    return columns
 
 
 def run_against_steps(state, Q, run):
     """bcm_run on state and one bcm_step per block on a copy: both outcomes."""
     ref = copy.deepcopy(state)
     got = outcome(lambda: bcm_run(state, Q, run))
-    want = outcome(lambda: [(ref.point.cost, *bcm_step(ref, Q, i)) for i in run])
+    want = outcome(lambda: sequential_steps(ref, Q, run))
     return got, want, ref
 
 
@@ -518,7 +530,7 @@ def test_run_member_with_zero_coupling_is_a_noop(counted_steps, batch_all):
     # a run whose members all have zero couplings changes nothing
     state.point.gcache[3] = 0.0
     before = state_bytes(state)
-    assert bcm_run(state, Q, [0, 3]) == [(state.point.cost, 0.0, 0.0)] * 2
+    assert bcm_run(state, Q, [0, 3]) == ([state.point.cost] * 2, [0.0] * 2, [0.0] * 2)
     assert state_bytes(state) == before
 
 
@@ -589,9 +601,10 @@ def arbitrary_sequences(Q, rng, count):
             yield rng.choice(pool, size=size).tolist()
 
 
-def journaled_levels(levels):
+def ahead_levels(levels):
     """The levels that run ahead of a step before them: those after which, or
-    before which, the steps done are not a prefix of the sequence."""
+    before which, the steps done are not a prefix of the sequence.  bcm_run
+    batches them whatever their size, and keeps undo records for them."""
     order = np.argsort(levels, kind="stable")
     ends = np.bincount(levels).cumsum()
     prefix = [True, *(np.maximum.accumulate(order)[ends - 1] == ends - 1)]
@@ -622,7 +635,7 @@ def test_run_of_any_sequence_equals_sequential_steps(d, scale, batch_every_level
     if batch_every_level:
         monkeypatch.setattr(bcm, "RUN_BATCH_MIN", 1)
     rng = np.random.default_rng(90 + d)
-    seen = dict.fromkeys(["hub-free", "shared", "zero", "signed-zero", "journaled"], 0)
+    seen = dict.fromkeys(["hub-free", "shared", "zero", "signed-zero", "short-ahead"], 0)
     for trial in range(3):
         Q = random_instance(rng, d, int(rng.integers(60, 90)), density=0.04, scale=scale)
         hub = [len(neighbors(Q, i)) ** 2 > Q.n for i in range(Q.n)]
@@ -642,11 +655,13 @@ def test_run_of_any_sequence_equals_sequential_steps(d, scale, batch_every_level
             sizes = np.bincount(levels)
             if batch_every_level:  # one batched minimization per level, no single step
                 assert counted_steps == [] and len(batched_minimizations) == len(sizes)
-            else:
-                assert len(batched_minimizations) == (sizes >= bcm.RUN_BATCH_MIN).sum()
-                small = [t for t, v in enumerate(levels) if sizes[v] < bcm.RUN_BATCH_MIN]
-                assert sorted(counted_steps) == sorted(seq[t] for t in small)
-                seen["journaled"] += sum(sizes[v] < bcm.RUN_BATCH_MIN for v in journaled_levels(levels))
+            else:  # short levels in order take single steps, in order; all others are batched
+                ahead = set(ahead_levels(levels))
+                single = [size < bcm.RUN_BATCH_MIN and v not in ahead
+                          for v, size in enumerate(sizes)]
+                assert len(batched_minimizations) == single.count(False)
+                assert counted_steps == [seq[t] for t, v in enumerate(levels) if single[v]]
+                seen["short-ahead"] += sum(sizes[v] < bcm.RUN_BATCH_MIN for v in ahead)
             if not any(hub[i] for i in seq):  # levels merge the greedy runs
                 assert len(sizes) < len(greedy_runs(Q, seq))
                 seen["hub-free"] += 1
@@ -657,7 +672,7 @@ def test_run_of_any_sequence_equals_sequential_steps(d, scale, batch_every_level
             seen["signed-zero"] += int((signed_zero & np.signbit(state.point.gcache)).sum())
     assert seen.pop("hub-free") >= 15
     if batch_every_level:
-        del seen["journaled"]  # no level takes single steps
+        del seen["short-ahead"]  # no level is short
     assert min(seen.values()) > 0, seen
 
 
@@ -745,6 +760,23 @@ def test_failure_after_earlier_levels_leaves_the_sequential_state(fault, error, 
     assert batched_minimizations  # the first level was minimized as one batch
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cost,scale", [(-1.7e308, 1e307), (0.0, 1.7e308)],
+                         ids=["cost-overflows", "product-overflows"])
+def test_overflow_in_a_run_fails_like_the_steps(cost, scale):
+    # A cost or coupling near the float range: one bcm_step per index raises
+    # NumericalError, with no numpy warning; bcm_run's batched products and
+    # cost sums must not warn either, and must leave the same error and state.
+    Q = generate_maxcut(60, 0.05, 1)
+    state = make_state(Q, 4, 0)
+    state.point.cost = cost
+    state.point.gcache[0] *= scale / np.abs(state.point.gcache[0]).max()
+    run = np.random.default_rng(0).integers(Q.n, size=64).tolist()
+    got, want, ref = run_against_steps(state, Q, run)
+    assert got == want == (NumericalError, "non-finite update at block 0: cost=-inf")
+    assert state_bytes(state) == state_bytes(ref)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 5000, 2 ** 33])
 def test_chunked_uniform_draws_equal_scalar_draws(n):
     scalar_rng, chunk_rng = np.random.default_rng(n), np.random.default_rng(n)
@@ -762,19 +794,40 @@ def test_chunked_importance_uniforms_equal_scalar_draws(n):
 
 
 def test_importance_runs_draw_from_the_state_generator():
-    # The scheme's run generator takes its uniforms DRAW_CHUNK at a time from
+    # The scheme's run takes its uniforms DRAW_CHUNK at a time from
     # init_state's generator and leaves state.rng in place: 2500 steps draw
-    # three chunks.
+    # three chunks, and the uniforms not used wait in state.draws.
     Q = generate_maxcut(200, 0.05, seed=1)
     state = make_state(Q, 4, 5, sampling="importance")
     rng, ref = state.rng, copy.deepcopy(state.rng)
-    runs = bcm.SAMPLING_SCHEMES["importance"].runs(state, Q)
-    next(runs)
-    run, steps = runs.send(2500)
-    assert len(run) == len(steps) == 2500
+    columns = bcm.SAMPLING_SCHEMES["importance"].run(state, Q, 2500)
+    assert [len(column) for column in columns] == [2500] * 4
+    assert all(type(column) is list for column in columns)
     assert state.rng is rng
-    ref.random(size=3 * bcm.DRAW_CHUNK)
+    chunks = ref.random(size=3 * bcm.DRAW_CHUNK).tolist()
     assert rng.bit_generator.state == ref.bit_generator.state
+    assert state.draws == chunks[2500:]
+    # With all weights zero a run ends at its first draw; the other draws wait.
+    state.weights[:] = 0.0
+    assert bcm.SAMPLING_SCHEMES["importance"].run(state, Q, 10) == ([], [], [], [])
+    assert state.draws == chunks[2501:]
+
+
+def test_uniform_runs_take_the_stream_in_chunks():
+    # Runs capped at 1000, 7 and 2000 steps take the first 3007 indices of
+    # three chunks of DRAW_CHUNK; the other 65 wait in state.draws.
+    Q = generate_maxcut(200, 0.05, seed=1)
+    state = make_state(Q, 4, 5)
+    ref = copy.deepcopy(state.rng)
+    blocks = []
+    for cap in (1000, 7, 2000):
+        columns = bcm.SAMPLING_SCHEMES["uniform"].run(state, Q, cap)
+        assert [len(column) for column in columns] == [cap] * 4
+        blocks += columns[0]
+    chunks = [i for _ in range(3) for i in ref.integers(Q.n, size=bcm.DRAW_CHUNK).tolist()]
+    assert blocks == chunks[:3007] and state.draws == chunks[3007:]
+    assert len(state.draws) == 65
+    assert state.rng.bit_generator.state == ref.bit_generator.state
 
 
 def assert_same_run(report, ref):
@@ -914,8 +967,9 @@ def test_step_weights_are_nuclear_norms_without_warnings(d, scale):
 def test_every_step_minimizes_through_block_minimize(monkeypatch):
     # The one minimizer: an importance solve calls it once per step, a uniform
     # solve once per batched level (RUN_BATCH_MIN or more steps of one
-    # dependency level) and once per other step with a nonzero coupling, and
-    # the blocks it minimizes sum to the steps with one.
+    # dependency level, or fewer that run ahead of a step before them) and
+    # once per other step with a nonzero coupling, and the blocks it minimizes
+    # sum to the steps with one.
     minimized, recording = [], [True]  # blocks per call
 
     def counted(G):
@@ -928,7 +982,7 @@ def test_every_step_minimizes_through_block_minimize(monkeypatch):
     report = solve(Q, SolverConfig(rank=3, sampling="importance", seed=1, max_iters=2000))
     assert report.iterations and minimized == [1] * report.iterations
 
-    expected, steps = [], {"batched": 0, "short": 0, "zero": 0}
+    expected, steps = [], {"batched": 0, "short": 0, "short-ahead": 0, "zero": 0}
 
     def recorded_run(state, Q, run):
         # Which steps find a nonzero coupling: those of one bcm_step per index.
@@ -939,12 +993,15 @@ def test_every_step_minimizes_through_block_minimize(monkeypatch):
             bcm_step(ref, Q, i)
         recording[0] = True
         levels = dependency_levels(Q, run)
+        ahead = set(ahead_levels(levels))
         for level in range(max(levels) + 1):
             members = [t for t, v in enumerate(levels) if v == level]
             on = sum(live[t] for t in members)
-            batched = len(run) >= bcm.RUN_BATCH_MIN and len(members) >= bcm.RUN_BATCH_MIN
+            short = len(members) < bcm.RUN_BATCH_MIN
+            batched = len(run) >= bcm.RUN_BATCH_MIN and (not short or level in ahead)
             expected.extend([on] if batched else [1] * on)
             steps["batched" if batched else "short"] += len(members)
+            steps["short-ahead"] += len(members) if batched and short else 0
             steps["zero"] += len(members) - on
         return bcm_run(state, Q, run)
 
@@ -953,7 +1010,7 @@ def test_every_step_minimizes_through_block_minimize(monkeypatch):
     report = solve(Q, SolverConfig(rank=3, seed=1, max_iters=2000))
     assert minimized == expected
     assert sum(minimized) == report.iterations - steps["zero"]
-    assert min(steps.values()) > 0  # batched and short levels, and zero couplings
+    assert min(steps.values()) > 0, steps  # batched, short and short-ahead levels, zero couplings
 
 
 @pytest.mark.filterwarnings("error")
@@ -1029,14 +1086,11 @@ def test_solve_on_weights_past_the_float_range_is_quiet():
 def test_a_scheme_is_one_table_entry(monkeypatch):
     # A third, unweighted scheme that steps the blocks in cyclic order: solve
     # needs nothing but its entry.
-    def cyclic_runs(state, Q):
-        cap, i = (yield), 0
-        while True:
-            run = [(i + t) % Q.n for t in range(cap)]
-            i += cap
-            cap = yield run, [(state.point.cost, *bcm.bcm_step(state, Q, j)) for j in run]
+    def cyclic_run(state, Q, cap):
+        blocks = [(state.k + t) % Q.n for t in range(cap)]
+        return (blocks, *sequential_steps(state, Q, blocks))
 
-    entry = bcm.Scheme(cyclic_runs, weighted=False, rate=bcm.SAMPLING_SCHEMES["uniform"].rate)
+    entry = bcm.Scheme(cyclic_run, weighted=False, rate=bcm.SAMPLING_SCHEMES["uniform"].rate)
     monkeypatch.setitem(bcm.SAMPLING_SCHEMES, "cyclic", entry)
     rng = np.random.default_rng(80)
     Q = random_instance(rng, 2, 9, density=0.4)
