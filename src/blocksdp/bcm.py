@@ -295,7 +295,7 @@ def bcm_step(state: SolverState, Q: BlockSparseSym, i_k: int):
     mat = Q.mat
     p0, p1 = mat.indptr[i_k], mat.indptr[i_k + 1]
     nbr = Q.cols[p0:p1]
-    Gn = point.gcache.take(nbr, axis=0) + (Y_new - Y_old) @ mat.data[p0:p1]
+    Gn = point.gcache.take(nbr, axis=0) + _neighbour_products(Y_new - Y_old, mat.data[p0:p1])
     weights = state.weights
     if weights is not None:  # validate rules out overflowing squares
         weights[nbr] = gram_nuclear_norms(Gn)  # first: it may raise LinAlgError
@@ -362,7 +362,7 @@ def _apply_levels(state: SolverState, Q: BlockSparseSym, run: list, cost_before,
     count = np.where(np.repeat(~single, sizes), ptr[step + 1] - p0, 0)
     entry = np.concatenate([[0], count.cumsum()])
     at = _row_entries(p0, count)
-    nbr, nbr_q = Q.cols[at], Q.mat.data[at]
+    nbr, nbr_q = Q.cols[at], Q.mat.data.take(at, axis=0)
     size = point.r * point.d  # one flat np.add.at (its fast form), in run order
     flat = nbr[:, None] * size + np.arange(size)
     live = np.zeros(len(run), dtype=bool)
@@ -398,9 +398,9 @@ def _apply_levels(state: SolverState, Q: BlockSparseSym, run: list, cost_before,
                 keep = np.repeat(on, c)
                 rows, f, q, c = rows[keep], f[keep], q[keep], c[on]
             if not close:  # ahead of a step before it until a level closes the prefix
-                undo.append((rows, gcache[rows], i, Y_old))
+                undo.append((rows, gcache.take(rows, axis=0), i, Y_old))
             np.add.at(gcache.reshape(-1), f.ravel(),
-                      (np.repeat(Y_new - Y_old, c, axis=0) @ q).ravel())
+                      _neighbour_products(np.repeat(Y_new - Y_old, c, axis=0), q).ravel())
             blocks[i] = Y_new
             if close:
                 point.cost = float(cost[-1])
@@ -413,14 +413,14 @@ def _level_minimize(point: FactorPoint, i: np.ndarray, pos: np.ndarray, pred, me
     store their pred and meas.  Returns (blocks, Y_old, Y_new, live mask, None
     when all are live) for the nonzero couplings; raises as block_minimize
     does, and NumericalError for a non-finite result."""
-    G = point.gcache[i]
+    G = point.gcache.take(i, axis=0)
     on = G.any(axis=(1, 2))  # a zero G_i makes its step a no-op; the minimizer skips it
     if on.all():
         on = None
     else:
         i, G, pos = i[on], G[on], pos[on]
     Y_new, nuc = block_minimize(G)
-    Y_old = point.blocks[i]
+    Y_old = point.blocks.take(i, axis=0)
     inner_old = _vdots(G, Y_old)
     p = -2.0 * (nuc + inner_old)
     m = 2.0 * (_vdots(G, Y_new) - inner_old)
@@ -429,6 +429,19 @@ def _level_minimize(point: FactorPoint, i: np.ndarray, pos: np.ndarray, pred, me
         raise NumericalError("non-finite update in a batched level")
     pred[pos], meas[pos], live[pos] = p, m, True
     return i, Y_old, Y_new, on
+
+
+def _neighbour_products(delta: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """delta @ q, the coupling updates of a step's or a level's neighbours, with
+    delta = Y_new - Y_old (r, d) or (k, r, d) and q the blocks (k, d, d) of Q.
+    At d = 1 it is elementwise, about half the cost of a stacked matmul of
+    1 x 1 factors; the + 0.0 gives the matmul's bytes, whose sum starts from
+    +0.0: a -0.0 product reads +0.0, so a -0.0 coupling entry turns +0.0."""
+    if q.shape[-1] == 1:
+        out = delta * q
+        out += 0.0
+        return out
+    return delta @ q
 
 
 def _vdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:

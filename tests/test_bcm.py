@@ -534,6 +534,34 @@ def test_run_member_with_zero_coupling_is_a_noop(counted_steps, batch_all):
     assert state_bytes(state) == before
 
 
+def test_d1_neighbour_updates_keep_the_matmul_signed_zeros(counted_steps):
+    # Four disjoint edges (2t, 2t + 1) of weight -1, d = 1, r = 2.  Block 2t
+    # holds [1, -0.0] and its coupling [1, 0], so its step leaves the second
+    # entry of Y_new - Y_old at +0.0, whose product with Q's -1 is -0.0; the
+    # neighbour's coupling holds -0.0 there.  The matmul delta @ q sums from
+    # +0.0, so the neighbour reads +0.0, by bcm_step and by one batched level.
+    Q = BlockSparseSym(1, 8, {(2 * t, 2 * t + 1): -np.ones((1, 1)) for t in range(4)})
+    state = init_state(Q, SolverConfig(rank=2, seed=0),
+                       warm_start=[[[1.0], [-0.0]], [[0.0], [1.0]]] * 4)
+    state.point.gcache[0::2] = [[1.0], [0.0]]
+    state.point.gcache[1::2, 1] = -0.0
+    Y, G = state.point.blocks.copy(), state.point.gcache.copy()
+    run = [0, 2, 4, 6]
+    assert len(run) >= bcm.RUN_BATCH_MIN  # one level, batched
+    single = copy.deepcopy(state)
+    bcm_step(single, Q, 0)
+    bcm_run(state, Q, run)
+    assert counted_steps == []
+    for point, stepped in ((single.point, [0]), (state.point, run)):
+        for i in stepped:
+            delta = point.blocks[i] - Y[i]
+            q = Q.mat.data[Q.mat.indptr[i]]  # Q_[i,i+1], the one block of row i
+            assert delta[1, 0] == 0.0 and np.signbit(delta * q)[1, 0]
+            want = G[i + 1] + delta @ q
+            assert point.gcache[i + 1].tobytes() == want.tobytes()
+            assert not np.signbit(point.gcache[i + 1, 1, 0])
+
+
 def test_run_with_nonfinite_coupling_fails_like_the_steps(batch_all):
     rng = np.random.default_rng(40)
     Q = random_instance(rng, 2, 30, density=0.05)

@@ -231,6 +231,47 @@ def test_column_stacks_match_the_svd_byte_for_byte(r, k):
             project_stiefel(A)
 
 
+def max_abs_rule(A):
+    """Whether every column of A (k, r, 1) has its max-abs entry in _QR_RANGE."""
+    m = np.abs(A).max(axis=1)
+    return bool(_QR_RANGE[0] <= m.min() and m.max() <= _QR_RANGE[1])
+
+
+def test_column_frames_take_the_qr_exactly_where_the_max_abs_rule_does():
+    # _column_frames reads the QR's |R_11| = ||a||_2 first and scans the
+    # entries only when the norm cannot decide; the decision is the scan's.
+    rng = np.random.default_rng(12)
+    for r in range(1, 10):
+        normal = rng.standard_normal((4, r, 1))
+        normal /= np.abs(normal).max(axis=1, keepdims=True)
+        flat = np.ones((3, r, 1))  # ||a||_2 = sqrt(r) max-abs: the loosest bracket
+        flat[1] = -1.0
+        hot = np.zeros((3, r, 1))  # ||a||_2 = max-abs: the tightest
+        hot[:, r - 1] = 1.0
+        for e in range(-470, 471):
+            stacks = [M * 2.0 ** e for M in (normal, flat, hot)]
+            mixed = normal.copy()
+            mixed[1] *= 2.0 ** e  # one column off the others' scale
+            stacks.append(mixed)
+            for A in stacks:
+                assert (_column_frames(A) is None) == (not max_abs_rule(A)), (r, e)
+        for bad in (np.nan, np.inf, -np.inf):  # a non-finite entry: no QR frames
+            A = normal.copy()
+            A[2, r - 1] = bad
+            assert _column_frames(A) is None and not max_abs_rule(A)
+        # Max-abs exactly 2^-459 or 2^459 in every column, with ||a||_2 = sqrt(r)
+        # max-abs: the norms lie outside the norm test's window, so the scan
+        # decides, accepts, and the bytes are still the SVD's.
+        lo = _QR_RANGE[0] * np.sqrt(r) * (1.0 + stiefel._NORM_SLACK)
+        hi = _QR_RANGE[1] * (1.0 - stiefel._NORM_SLACK)
+        for e in (-459, 459):
+            A = flat * 2.0 ** e
+            Y, sigma = _column_frames(A)
+            assert not (lo <= sigma.min() and sigma.max() <= hi)
+            want_Y, want_s = svd_frames(A)
+            assert Y.tobytes() == want_Y.tobytes() and sigma.tobytes() == want_s.tobytes()
+
+
 def test_tiny_columns_project_to_their_direction(tmp_path):
     # Rank deficiency is judged against the largest singular value: a column
     # of norm 2^-60 projects to x / ||x|| with the SVD's bytes, single and
