@@ -22,7 +22,7 @@ one bcm_step per index (steps at distinct, pairwise non-adjacent blocks
 commute, and each coupling receives its additions in index order);
 importance steps, each drawn from the weights the one before left, take
 sample_block and bcm_step in turn.  The iteration log, a RunLog, holds the
-logged steps in typed columns, 48 bytes a step, and builds each LogRecord
+logged steps in typed columns, 40 bytes a step, and builds each LogRecord
 when it is read.
 """
 
@@ -79,7 +79,11 @@ class SolverConfig:
     refresh_period: int | None = None
     seed: int = 0
     log_every: int = 1
-    stall_rtol: float = STALL_RTOL
+
+    @property
+    def stall_rtol(self) -> float:
+        """STALL_RTOL, the stall test's relative threshold (not a field)."""
+        return STALL_RTOL
 
     def validate(self, Q: BlockSparseSym) -> None:
         if self.sampling not in SAMPLING_SCHEMES:
@@ -89,8 +93,6 @@ class SolverConfig:
             raise ValueError(f"rank {self.rank} smaller than block dimension {Q.d}")
         if not self.grad_tol > 0:  # NaN too
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if not (0.0 < self.stall_rtol <= 1.0):
-            raise ValueError(f"stall_rtol must be in (0, 1], got {self.stall_rtol}")
         for name in ("max_iters", "check_period", "refresh_period", "log_every"):
             v = getattr(self, name)
             if v is not None and v < 1:
@@ -130,8 +132,10 @@ class LogRecord:
 class RunLog(Sequence):
     """The iteration log of a solve: a read-only sequence of LogRecord.
 
-    The steps are held in typed columns, k, block and wall_ns as int64 and
-    cost, pred_descent and meas_descent as float64, 48 bytes a step; the
+    The solve takes every step once, in order, and logs step k exactly when
+    k is a multiple of every (its log_every), so row j is step j * every.
+    The steps are held in typed columns, block and wall_ns as int64 and
+    cost, pred_descent and meas_descent as float64, 40 bytes a step; the
     squared gradient norms sit in a dict keyed by row, for the rows that
     carry one.  Indexing, slicing (a list) and iteration build the records.
     wall_ns is taken once per run of the solve loop, so the steps of one run,
@@ -139,21 +143,22 @@ class RunLog(Sequence):
     test ends it), share it.
     """
 
-    __slots__ = ("_k", "_cost", "_block", "_pred", "_meas", "_gradsq", "_wall_ns")
+    __slots__ = ("_every", "_cost", "_block", "_pred", "_meas", "_gradsq", "_wall_ns")
 
-    def __init__(self):
-        self._k, self._block, self._wall_ns = array("q"), array("q"), array("q")
+    def __init__(self, every: int = 1):
+        self._every = every
+        self._block, self._wall_ns = array("q"), array("q")
         self._cost, self._pred, self._meas = array("d"), array("d"), array("d")
         self._gradsq = {}
 
     def __len__(self) -> int:
-        return len(self._k)
+        return len(self._block)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[j] for j in range(len(self))[index]]
         j = range(len(self))[index]  # a negative index counts from the end
-        return LogRecord(self._k[j], self._cost[j], self._block[j], self._pred[j],
+        return LogRecord(j * self._every, self._cost[j], self._block[j], self._pred[j],
                          self._meas[j], self._gradsq.get(j), self._wall_ns[j])
 
     def __iter__(self):
@@ -162,22 +167,21 @@ class RunLog(Sequence):
     def columns(self) -> tuple:
         """The seven columns in LogRecord's field order, one value a step each;
         grad_norm_sq is an iterator, None on the unchecked rows."""
-        return (self._k, self._cost, self._block, self._pred, self._meas,
-                map(self._gradsq.get, range(len(self))), self._wall_ns)
+        return (range(0, len(self) * self._every, self._every), self._cost, self._block,
+                self._pred, self._meas, map(self._gradsq.get, range(len(self))), self._wall_ns)
 
     def _add_run(self, k: int, blocks: list, cost: list, pred: list, meas: list, gradsq,
-                 wall: int, every: int) -> None:
-        """Log the steps k, k + 1, ... of a run, given as the columns a scheme's
-        run returns, whose index is a multiple of every: all of them share
-        wall, and the first, step k, carries gradsq, the squared gradient norm
-        checked before the run (None if unchecked)."""
-        if every > 1:  # the first step logged is k + first, which carries gradsq if it is k
-            first = -k % every
-            blocks, cost, pred, meas = (c[first::every] for c in (blocks, cost, pred, meas))
-            k, gradsq = k + first, None if first else gradsq
+                 wall: int) -> None:
+        """Log those of the steps k, k + 1, ... of a run, given as the columns a
+        scheme's run returns, whose index is a multiple of every: all of them
+        share wall, and step k, if logged, carries gradsq, the squared gradient
+        norm checked before the run (None if unchecked)."""
+        if self._every > 1:  # the first step logged is k + first
+            first = -k % self._every
+            blocks, cost, pred, meas = (c[first::self._every] for c in (blocks, cost, pred, meas))
+            gradsq = None if first else gradsq
         if gradsq is not None:
-            self._gradsq[len(self._k)] = gradsq
-        self._k.fromlist(list(range(k, k + len(blocks) * every, every)))
+            self._gradsq[len(self)] = gradsq
         self._block.fromlist(blocks)  # fromlist: faster than extend, for one step or 1,024
         self._wall_ns.fromlist([wall] * len(blocks))
         self._cost.fromlist(cost)
@@ -625,7 +629,7 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
                  else iteration_bound(Q, config.sampling, f0, -Q.c2(), config.grad_tol))
     stall_window = STALL_WINDOW_FACTOR * n
 
-    records = RunLog()
+    records = RunLog(config.log_every)
     max_drift = 0.0
     final_gradsq = None
     reason = None
@@ -640,7 +644,7 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
                 reason, final_gradsq = "tolerance", gradsq_here
                 break
             if stall_hit:
-                if max_available_descent(point) <= config.stall_rtol * (1.0 + abs(point.cost)):
+                if max_available_descent(point) <= STALL_RTOL * (1.0 + abs(point.cost)):
                     reason, final_gradsq = "stalled", gradsq_here
                     break
                 state.stall_count = 0  # unlucky sampling streak, not a plateau
@@ -655,8 +659,8 @@ def solve(Q: BlockSparseSym, config: SolverConfig, warm_start=None) -> RunReport
             reason, final_gradsq = "tolerance", grad_norm_sq_fast(point)
             break
         records._add_run(k, blocks, cost_before, pred, meas, gradsq_here,
-                         time.perf_counter_ns() - t0, config.log_every)
-        state.stall_count = _stall_count(state.stall_count, cost_before, pred, config.stall_rtol)
+                         time.perf_counter_ns() - t0)
+        state.stall_count = _stall_count(state.stall_count, cost_before, pred, STALL_RTOL)
         state.k += len(blocks)
         if state.k % refresh_period == 0:
             max_drift = max(max_drift, _refresh(state, Q))

@@ -40,6 +40,7 @@ from functools import partial
 from itertools import chain, compress, islice, repeat
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.sparse import bsr_matrix
 
 
@@ -201,25 +202,12 @@ def _write_rows(path, header: str, *columns) -> None:
             fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def _lapack_gufunc(name: str, signature: str, fallback):
-    """numpy's LAPACK gufunc `name` called with `signature`, the call that
-    np.linalg makes inside its wrapper, so the outputs carry the same bytes;
-    fallback, the np.linalg function, on a numpy without that gufunc.
-
-    The call skips the wrapper's checks and its np.errstate: a LAPACK
-    failure returns NaN outputs (numpy warns of an invalid value), which the
-    caller tests for instead of catching np.linalg's LinAlgError.
-    """
-    try:
-        from numpy.linalg import _umath_linalg
-        return partial(getattr(_umath_linalg, name), signature=signature)
-    except (ImportError, AttributeError):
-        return fallback
-
-
 # The eigenvalues of a stack of symmetric matrices from their lower triangles, as
-# np.linalg.eigvalsh gives them (ascending); NaN where LAPACK fails.
-_eigvalsh = _lapack_gufunc("eigvalsh_lo", "d->d", np.linalg.eigvalsh)
+# np.linalg.eigvalsh gives them (ascending): numpy's LAPACK gufunc called as that
+# wrapper calls it, so the same bytes.  The call skips the wrapper's checks and
+# its np.errstate: a LAPACK failure returns NaN outputs (numpy warns of an
+# invalid value), which the callers test for instead of catching LinAlgError.
+_eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature="d->d")
 
 
 # Sums of squares in [_SQ_MIN, _SQ_MAX] give a column norm, and the eigenvalues
@@ -255,9 +243,8 @@ def gram_nuclear_norms(G):
     d = 1 that is the column norm sqrt(sum g^2), nuclear_norm's d = 1 case
     without its np.errstate.  The eigenvalues come from numpy's eigvalsh_lo
     gufunc called directly (_eigvalsh): np.linalg.eigvalsh's bytes without
-    its Python wrapper, or np.linalg.eigvalsh itself on a numpy without that
-    gufunc.  A LAPACK failure gives NaN eigenvalues, which fail the _SQ_MIN
-    test below and raise LinAlgError on the per-block path.
+    its Python wrapper.  A LAPACK failure gives NaN eigenvalues, which fail
+    the _SQ_MIN test below and raise LinAlgError on the per-block path.
 
     Blocks whose sum of squares is not finite or leaves [_SQ_MIN, _SQ_MAX]
     take the SVD: a NaN raises the SVD's LinAlgError (eigvalsh would give

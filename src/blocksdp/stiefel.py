@@ -15,14 +15,13 @@ projection take U V^T from the thin SVD, by numpy's svd_s gufunc called
 directly (_svd): the call np.linalg.svd(M, full_matrices=False) makes, so the
 same bytes, without the checks, np.errstate and namedtuple of its Python
 wrapper, about half the cost of a small SVD.  A LAPACK failure shows as NaN
-singular values, which both callers turn into np.linalg.LinAlgError; on a
-numpy without svd_s, _svd is np.linalg.svd itself.  A stack of one-column
-blocks (k, r, 1) whose every max-abs entry lies in [2^-459, 2^459] takes
-LAPACK's Householder QR instead: for such a column dgesdd is that QR
-followed by the SVD of the 1 x 1 factor R, so the QR alone gives the SVD's
-own bytes.  The QR runs first and its |R_11| = ||a||_2 decides the range;
-the max-abs entries are scanned only when a norm lies near an end of it
-(see _column_frames).
+singular values, which both callers turn into np.linalg.LinAlgError.  A stack
+of one-column blocks (k, r, 1) whose every max-abs entry lies in
+[2^-459, 2^459] takes LAPACK's Householder QR instead: for such a column
+dgesdd is that QR followed by the SVD of the 1 x 1 factor R, so the QR alone
+gives the SVD's own bytes.  The QR runs first and its |R_11| = ||a||_2
+decides the range; the max-abs entries are scanned only when a norm lies near
+an end of it (see _column_frames).
 
 Solution text format (YFACTOR):
 
@@ -39,9 +38,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .blockmat import (BlockSparseSym, ParseError, _lapack_gufunc, _read_header, _read_rows,
-                       _write_rows)
+from .blockmat import BlockSparseSym, ParseError, _read_header, _read_rows, _write_rows
 
 # Max-abs tolerance on Y^T Y - I for a block to count as feasible.
 FEASIBILITY_TOL = 1e-10
@@ -88,9 +87,10 @@ def project_stiefel(M: np.ndarray) -> np.ndarray:
     return Y
 
 
-# The thin SVD (U, s, V^T) of a matrix or a stack, as np.linalg.svd(M,
-# full_matrices=False) gives it; NaN outputs where LAPACK fails.
-_svd = _lapack_gufunc("svd_s", "d->ddd", partial(np.linalg.svd, full_matrices=False))
+# The thin SVD (U, s, V^T) of a matrix or a stack, numpy's LAPACK gufunc called
+# as np.linalg.svd(M, full_matrices=False) calls it, so the same bytes; a LAPACK
+# failure gives NaN outputs, which the callers test for (see blockmat._eigvalsh).
+_svd = partial(_umath_linalg.svd_s, signature="d->ddd")
 
 
 def _polar_factor(M: np.ndarray):
@@ -114,17 +114,10 @@ _QR_RANGE = (2.0 ** -459, 2.0 ** 459)
 _NORM_SLACK = 2.0 ** -20
 
 
-def _np_qr_r_raw(a: np.ndarray) -> np.ndarray:
-    """qr_r_raw's contract from np.linalg.qr(mode="raw"): factor a in place, return tau."""
-    h, tau = np.linalg.qr(a, mode="raw")
-    a[...] = h.swapaxes(-1, -2)
-    return tau
-
-
 # LAPACK's dgeqrf of each matrix of a stack, numpy's qr_r_raw gufunc called
 # directly as np.linalg.qr(mode="raw") calls it: it overwrites its operand with
 # R and the reflectors (the transpose of that mode's h) and returns tau.
-_qr_r_raw = _lapack_gufunc("qr_r_raw", "d->d", _np_qr_r_raw)
+_qr_r_raw = partial(_umath_linalg.qr_r_raw, signature="d->d")
 
 
 def _column_frames(A: np.ndarray):

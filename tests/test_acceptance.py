@@ -14,7 +14,7 @@ from conftest import (align_blocks, dense_cost, gcache_residual, neighbors, rand
                       random_point, triangle)
 from lemma_oracles import lemma_oracles
 
-from blocksdp import (BlockSparseSym, SolverConfig, certify_global, generate_maxcut,
+from blocksdp import (BlockSparseSym, SolverConfig, bcm, certify_global, generate_maxcut,
                       generate_rotsync, grad_norm_sq_fast, ground_truth_blocks, iteration_bound,
                       riemannian_grad_oracle, solve, sync_to_Q)
 from blocksdp.bcm import bcm_step, init_state, sample_block
@@ -211,7 +211,8 @@ def test_c08_sampling_distributions():
           f"importance freq {np.round(freq, 4).tolist()} (tol 0.02)")
 
 
-def test_c09_small_instance_sdp_oracle():
+def test_c09_small_instance_sdp_oracle(monkeypatch):
+    monkeypatch.setattr(bcm, "STALL_RTOL", 1e-16)
     rng = np.random.default_rng(109)
     point_rng = np.random.default_rng(209)
     lines = []
@@ -219,8 +220,7 @@ def test_c09_small_instance_sdp_oracle():
         Q = generate_maxcut(n, 0.8, seed=seed, weighted=True)
         Qd = Q.to_dense()
         r = n
-        report = solve(Q, SolverConfig(rank=r, grad_tol=1e-18, seed=1,
-                                       stall_rtol=1e-16))
+        report = solve(Q, SolverConfig(rank=r, grad_tol=1e-18, seed=1))
         cert = certify_global(report.point, Q)
         assert cert.verdict == "certified-global", (n, cert)
         value = report.final_cost

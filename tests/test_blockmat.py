@@ -434,10 +434,6 @@ def test_gram_nuclear_norms_leave_out_of_range_and_nan_blocks_to_the_svd(d):
         assert got[far].tobytes() == want[far].tobytes()
 
 
-def test_a_missing_gufunc_resolves_to_its_np_linalg_fallback():
-    assert blockmat._lapack_gufunc("no_such_gufunc", "d->d", np.linalg.eigvalsh) is np.linalg.eigvalsh
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", [2, 3])
 def test_gram_nuclear_norms_raise_when_eigvalsh_fails(monkeypatch, d):

@@ -13,7 +13,7 @@ from blocksdp import (BlockSparseSym, FactorPoint, ParseError, block_minimize,
                       is_orthonormal, nuclear_norm, project_stiefel, read_yfactor,
                       riemannian_grad_oracle, stiefel, write_yfactor)
 from blocksdp.blockmat import _eigvalsh
-from blocksdp.stiefel import _QR_RANGE, _column_frames, _np_qr_r_raw, _qr_r_raw, _svd
+from blocksdp.stiefel import _QR_RANGE, _column_frames, _qr_r_raw, _svd
 
 
 def test_project_identity_and_scalar():
@@ -112,19 +112,18 @@ def test_direct_kernels_match_np_linalg_byte_for_byte():
 
 
 def test_qr_kernel_matches_np_linalg_qr_byte_for_byte():
-    # The Householder QR of _column_frames, called directly (_qr_r_raw) and by
-    # its np.linalg fallback, factors a copy of the input in place into
+    # The Householder QR of _column_frames, numpy's gufunc called directly
+    # (_qr_r_raw), factors a copy of the input in place into
     # np.linalg.qr(mode="raw")'s h, transposed, and returns its tau: on
     # single blocks and stacks of one or more, strided or not, with -0.0
     # entries, at scales 2^-459 to 2^459, raising no floating-point flag.
     for A in kernel_inputs():
         for M in ((A, A[:1]) if A.ndim == 3 else (A,)):
             h, tau = np.linalg.qr(M, mode="raw")
-            for kernel in (_qr_r_raw, _np_qr_r_raw):
-                a = np.array(M)
-                with np.errstate(all="raise"):
-                    got = kernel(a)
-                assert layout([a.swapaxes(-2, -1), got]) == layout([h, tau])
+            a = np.array(M)
+            with np.errstate(all="raise"):
+                got = _qr_r_raw(a)
+            assert layout([a.swapaxes(-2, -1), got]) == layout([h, tau])
 
 
 @pytest.mark.filterwarnings("error")
